@@ -194,3 +194,12 @@ def bound_report(n: int, k: int, d: int) -> BoundReport:
         add(BoundEntry("johnson1_refined", refined, True))
     add(BoundEntry("johnson2", johnson2(n, k, delta), True))
     return report
+
+
+def search_upper_bound(n: int, k: int, d: int) -> int:
+    """Min proven upper bound over the parameter set and its complement.
+
+    Complementing every codeword maps (n, k, d) codes onto (n, n-k, d)
+    codes, so a bound on either caps both.
+    """
+    return min(bound_report(n, k, d).upper_bound, bound_report(n, n - k, d).upper_bound)

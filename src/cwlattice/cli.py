@@ -86,15 +86,6 @@ def _emit(obj, args, text_lines=None) -> None:
         print(payload)
 
 
-def _search_upper_bound(n: int, k: int, d: int) -> int:
-    """Min proven upper bound over the parameter set and its complement."""
-    ub = bounds_mod.bound_report(n, k, d).upper_bound
-    nk = n - k
-    if 1 <= nk and d <= 2 * min(nk, n - nk):
-        ub = min(ub, bounds_mod.bound_report(n, nk, d).upper_bound)
-    return ub
-
-
 def cmd_pool(args) -> int:
     if args.sample:
         pool = data.sample_pool()
@@ -148,7 +139,7 @@ def cmd_bounds(args) -> int:
 
 def cmd_search(args) -> int:
     graph = cliques.build_graph(args.n, args.k, args.d, exact=args.exact)
-    upper = None if args.exact else _search_upper_bound(args.n, args.k, args.d)
+    upper = None if args.exact else bounds_mod.search_upper_bound(args.n, args.k, args.d)
     result = cliques.max_clique(graph, upper_bound=upper, timeout=args.timeout)
     payload = {
         "n": args.n,
@@ -315,7 +306,7 @@ def cmd_table2(args) -> int:
     ]
     for n, k, d, reported in TABLE2_ROWS:
         graph = cliques.build_graph(n, k, d)
-        upper = _search_upper_bound(n, k, d)
+        upper = bounds_mod.search_upper_bound(n, k, d)
         result = cliques.max_clique(graph, upper_bound=upper, timeout=args.timeout)
         notes = []
         if not result.complete:

@@ -1,12 +1,18 @@
 """Finite lattices given by Hasse diagrams.
 
 A lattice is entered as its element labels plus a list of cover pairs
-(lower, upper).  Construction takes the reflexive-transitive closure,
+(lower, upper).  The order is stored as Python-int bitset rows, the
+representation the clique graphs use: ``up[i]`` holds the elements
+>= i, ``down[i]`` the elements <= i and ``cover_up[i]`` the upper
+covers of i.  Construction closes the cover relation transitively,
 verifies the result is a partial order with unique top and bottom, and
 checks that every pair of elements has a unique greatest lower bound
-and least upper bound.  Meets and joins are precomputed.
+and least upper bound: the meet of i and j is the element whose down
+row is ``down[i] & down[j]``, the join the one whose up row is
+``up[i] & up[j]``.  Meets and joins are precomputed.
 
-On top of that the module computes meet-irreducible elements,
+On top of that the module computes meet-irreducible elements (in a
+finite lattice, exactly the elements with one upper cover),
 irredundant irreducible decompositions, the upper semimodular
 ("Birkhoff") covering condition, and freedom from diamond (M3)
 sublattices; together the latter two are equivalent to every element
@@ -22,6 +28,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from cwlattice.cliques import _bits
 
 DEFAULT_SCAN_LIMIT = 12
 
@@ -40,48 +48,44 @@ class FiniteLattice:
         self.elements = tuple(labels)
         self._index = {e: i for i, e in enumerate(labels)}
         m = len(labels)
+        full = (1 << m) - 1
 
-        leq = [[i == j for j in range(m)] for i in range(m)]
+        up = [1 << i for i in range(m)]
         for lo, hi in covers:
             i, j = self._idx(lo), self._idx(hi)
             if i == j:
                 raise ValueError(f"cover ({lo}, {hi}) relates an element to itself")
-            leq[i][j] = True
+            up[i] |= 1 << j
         # Warshall closure
         for via in range(m):
-            row_via = leq[via]
+            row_via = up[via]
             for i in range(m):
-                if leq[i][via]:
-                    row_i = leq[i]
-                    for j in range(m):
-                        if row_via[j]:
-                            row_i[j] = True
+                if up[i] >> via & 1:
+                    up[i] |= row_via
+        down = [0] * m
         for i in range(m):
-            for j in range(i + 1, m):
-                if leq[i][j] and leq[j][i]:
-                    raise ValueError("cover relation contains a cycle")
-        self._leq = leq
+            for j in _bits(up[i]):
+                down[j] |= 1 << i
+        if any(up[i] & down[i] != 1 << i for i in range(m)):
+            raise ValueError("cover relation contains a cycle")
+        self._up, self._down = up, down
 
-        bottoms = [i for i in range(m) if all(leq[i][j] for j in range(m))]
-        tops = [i for i in range(m) if all(leq[j][i] for j in range(m))]
+        bottoms = [i for i in range(m) if up[i] == full]
+        tops = [i for i in range(m) if down[i] == full]
         if len(bottoms) != 1 or len(tops) != 1:
             raise ValueError("order must have a unique bottom and a unique top")
         self._bottom, self._top = bottoms[0], tops[0]
 
-        # canonical cover relation (transitive reduction of the order)
-        self._upper_covers: list[list[int]] = [[] for _ in range(m)]
-        self._lower_covers: list[list[int]] = [[] for _ in range(m)]
+        # j covers i when j is the only element above i that lies below j
+        self._cover_up = [0] * m
         for i in range(m):
-            for j in range(m):
-                if i == j or not leq[i][j]:
-                    continue
-                if any(leq[i][z] and leq[z][j] and z not in (i, j) for z in range(m)):
-                    continue
-                self._upper_covers[i].append(j)
-                self._lower_covers[j].append(i)
+            above = up[i] ^ (1 << i)
+            for j in _bits(above):
+                if above & down[j] == 1 << j:
+                    self._cover_up[i] |= 1 << j
 
-        self._meet = [[self._bound(i, j, lower=True) for j in range(m)] for i in range(m)]
-        self._join = [[self._bound(i, j, lower=False) for j in range(m)] for i in range(m)]
+        self._meet = [[self._bound(down, i, j) for j in range(m)] for i in range(m)]
+        self._join = [[self._bound(up, i, j) for j in range(m)] for i in range(m)]
 
     def _idx(self, label: str) -> int:
         try:
@@ -89,23 +93,17 @@ class FiniteLattice:
         except KeyError:
             raise ValueError(f"unknown lattice element {label!r}") from None
 
-    def _bound(self, i: int, j: int, lower: bool) -> int:
-        m = len(self.elements)
-        leq = self._leq
-        if lower:
-            common = [z for z in range(m) if leq[z][i] and leq[z][j]]
-            # maximal elements of the common lower set
-            extreme = [z for z in common if all(not (leq[z][w] and z != w) for w in common)]
-        else:
-            common = [z for z in range(m) if leq[i][z] and leq[j][z]]
-            extreme = [z for z in common if all(not (leq[w][z] and z != w) for w in common)]
-        if len(extreme) != 1:
-            kind = "greatest lower" if lower else "least upper"
+    def _bound(self, rows: list[int], i: int, j: int) -> int:
+        """The element whose row is rows[i] & rows[j]: the meet on down
+        rows, the join on up rows."""
+        try:
+            return rows.index(rows[i] & rows[j])
+        except ValueError:
+            kind = "greatest lower" if rows is self._down else "least upper"
             raise ValueError(
                 f"elements {self.elements[i]!r}, {self.elements[j]!r} lack a unique "
                 f"{kind} bound; the order is not a lattice"
-            )
-        return extreme[0]
+            ) from None
 
     @classmethod
     def from_order(cls, elements: Sequence[str], leq_pairs: Iterable[tuple[str, str]]) -> "FiniteLattice":
@@ -126,7 +124,7 @@ class FiniteLattice:
         return self.elements[self._bottom]
 
     def leq(self, a: str, b: str) -> bool:
-        return self._leq[self._idx(a)][self._idx(b)]
+        return bool(self._up[self._idx(a)] >> self._idx(b) & 1)
 
     def meet(self, a: str, b: str) -> str:
         return self.elements[self._meet[self._idx(a)][self._idx(b)]]
@@ -135,38 +133,30 @@ class FiniteLattice:
         return self.elements[self._join[self._idx(a)][self._idx(b)]]
 
     def upper_covers(self, a: str) -> tuple[str, ...]:
-        return tuple(self.elements[j] for j in self._upper_covers[self._idx(a)])
+        return tuple(self.elements[j] for j in _bits(self._cover_up[self._idx(a)]))
 
     def lower_covers(self, a: str) -> tuple[str, ...]:
-        return tuple(self.elements[j] for j in self._lower_covers[self._idx(a)])
+        j = self._idx(a)
+        return tuple(self.elements[i] for i in _bits(self._down[j]) if self._cover_up[i] >> j & 1)
 
     def covers(self, lower: str, upper: str) -> bool:
-        return self._idx(upper) in self._upper_covers[self._idx(lower)]
+        return bool(self._cover_up[self._idx(lower)] >> self._idx(upper) & 1)
 
     def cover_pairs(self) -> list[tuple[str, str]]:
         return [
             (self.elements[i], self.elements[j])
             for i in range(len(self.elements))
-            for j in self._upper_covers[i]
+            for j in _bits(self._cover_up[i])
         ]
 
     # structure --------------------------------------------------------
 
     def meet_irreducibles(self) -> list[str]:
-        """Elements c except top with: c = d meet e implies c is d or e."""
-        m = len(self.elements)
-        out = []
-        for c in range(m):
-            if c == self._top:
-                continue
-            reducible = any(
-                self._meet[d][e] == c and d != c and e != c
-                for d in range(m)
-                for e in range(m)
-            )
-            if not reducible:
-                out.append(self.elements[c])
-        return out
+        """Elements c except top with: c = d meet e implies c is d or e.
+
+        In a finite lattice these are exactly the elements with one upper cover.
+        """
+        return [self.elements[c] for c, row in enumerate(self._cover_up) if row.bit_count() == 1]
 
     def irreducible_decompositions(self, x: str) -> list[frozenset[str]]:
         """All irredundant subsets of meet-irreducibles whose meet is x.
@@ -174,7 +164,7 @@ class FiniteLattice:
         The empty subset stands for the empty meet, i.e. the top element.
         """
         xi = self._idx(x)
-        cands = [self._idx(q) for q in self.meet_irreducibles() if self._leq[xi][self._idx(q)]]
+        cands = [self._idx(q) for q in self.meet_irreducibles() if self._up[xi] >> self._idx(q) & 1]
         if len(cands) > 20:
             raise SizeLimitError("too many meet-irreducibles for a subset scan")
         hits: list[tuple[int, ...]] = []
@@ -196,12 +186,11 @@ class FiniteLattice:
     def is_birkhoff(self) -> bool:
         """Upper semimodularity: if a covers a meet b, then a join b covers b."""
         m = len(self.elements)
+        cover_up = self._cover_up
         for a in range(m):
             for b in range(m):
-                mt = self._meet[a][b]
-                if mt != a and a in self._upper_covers[mt]:
-                    if self._join[a][b] not in self._upper_covers[b]:
-                        return False
+                if cover_up[self._meet[a][b]] >> a & 1 and not cover_up[b] >> self._join[a][b] & 1:
+                    return False
         return True
 
     def has_m3_sublattice(self, scan_limit: int = DEFAULT_SCAN_LIMIT) -> bool:
@@ -215,21 +204,16 @@ class FiniteLattice:
             raise SizeLimitError(
                 f"lattice has {m} elements, over the scan limit {scan_limit}"
             )
-        for p, q, r in itertools.combinations(range(m), 3):
-            if self._leq[p][q] or self._leq[q][p]:
-                continue
-            if self._leq[p][r] or self._leq[r][p]:
-                continue
-            if self._leq[q][r] or self._leq[r][q]:
-                continue
-            if self._meet[p][q] == self._meet[p][r] == self._meet[q][r] and \
-               self._join[p][q] == self._join[p][r] == self._join[q][r]:
-                return True
+        full = (1 << m) - 1
+        incomparable = [full ^ (u | d) for u, d in zip(self._up, self._down)]
+        meet, join = self._meet, self._join
+        for p in range(m):
+            for q in _bits(incomparable[p] >> (p + 1) << (p + 1)):
+                for r in _bits(incomparable[p] & incomparable[q] >> (q + 1) << (q + 1)):
+                    if meet[p][q] == meet[p][r] == meet[q][r] and \
+                       join[p][q] == join[p][r] == join[q][r]:
+                        return True
         return False
-
-    def modular_sublattices_distributive(self, scan_limit: int = DEFAULT_SCAN_LIMIT) -> bool:
-        """True iff no M3 embeds: then every modular sublattice is distributive."""
-        return not self.has_m3_sublattice(scan_limit)
 
     def decomposition_theorem_report(self, scan_limit: int = DEFAULT_SCAN_LIMIT) -> "TheoremReport":
         """Evaluate both sides of the unique-decomposition equivalence."""
@@ -237,7 +221,7 @@ class FiniteLattice:
             len(self.irreducible_decompositions(x)) == 1 for x in self.elements
         )
         birkhoff = self.is_birkhoff()
-        m3_free = self.modular_sublattices_distributive(scan_limit)
+        m3_free = not self.has_m3_sublattice(scan_limit)
         return TheoremReport(
             unique_decomposition=unique,
             birkhoff=birkhoff,
@@ -294,7 +278,7 @@ class MultiplicationTable:
                 if table[i][j] != table[j][i]:
                     raise ValueError("multiplication must be commutative")
                 prod = table[i][j]
-                if not lattice._leq[prod][lattice._meet[i][j]]:
+                if not lattice._up[prod] >> lattice._meet[i][j] & 1:
                     raise ValueError(
                         f"product of {lattice.elements[i]!r} and "
                         f"{lattice.elements[j]!r} is not below their meet"

@@ -42,17 +42,20 @@ class NetworkTopology:
 
     def __post_init__(self):
         layer_of = self.layer_of_node()
-        indeg: dict[int, int] = {}
+        ins: dict[int, list[Edge]] = {}
         for u, v in self.edges:
             if layer_of[u] >= layer_of[v]:
                 raise ValueError(f"edge ({u}, {v}) does not go to a later layer")
-            indeg[v] = indeg.get(v, 0) + 1
+            ins.setdefault(v, []).append((u, v))
         for v in range(1, self.node_count):
-            if not 1 <= indeg.get(v, 0) <= self.max_indegree:
+            indeg = len(ins.get(v, ()))
+            if not 1 <= indeg <= self.max_indegree:
                 raise ValueError(
-                    f"node {v} has in-degree {indeg.get(v, 0)}, "
-                    f"need 1..{self.max_indegree}"
+                    f"node {v} has in-degree {indeg}, need 1..{self.max_indegree}"
                 )
+        for edges in ins.values():
+            edges.sort()
+        object.__setattr__(self, "_in_edges", ins)
 
     @property
     def node_count(self) -> int:
@@ -73,7 +76,7 @@ class NetworkTopology:
         return out
 
     def in_edges(self, v: int) -> list[Edge]:
-        return sorted((u, w) for u, w in self.edges if w == v)
+        return list(self._in_edges.get(v, ()))
 
     def to_json(self) -> dict:
         return {
@@ -106,19 +109,18 @@ def random_dag(
         raise ValueError("edge density must lie in [0, 1]")
     rng = random.Random(seed)
     layer_sizes = (1, *([width] * (layers - 2)), 1)
-    layer_of = []
-    for layer, size in enumerate(layer_sizes):
-        layer_of.extend([layer] * size)
-    total = len(layer_of)
     edges: list[Edge] = []
-    for v in range(1, total):
-        earlier = [u for u in range(total) if layer_of[u] < layer_of[v]]
-        chosen = [u for u in earlier if rng.random() < edge_density]
-        if not chosen:
-            chosen = [rng.choice(earlier)]
-        if len(chosen) > max_indegree:
-            chosen = sorted(rng.sample(chosen, max_indegree))
-        edges.extend((u, v) for u in chosen)
+    first = 1  # first node of the current layer
+    for size in layer_sizes[1:]:
+        earlier = range(first)
+        for v in range(first, first + size):
+            chosen = [u for u in earlier if rng.random() < edge_density]
+            if not chosen:
+                chosen = [rng.choice(earlier)]
+            if len(chosen) > max_indegree:
+                chosen = sorted(rng.sample(chosen, max_indegree))
+            edges.extend((u, v) for u in chosen)
+        first += size
     return NetworkTopology(
         layer_sizes=layer_sizes, edges=tuple(sorted(edges)), max_indegree=max_indegree
     )
@@ -169,8 +171,8 @@ def source_encode(codeword: Iterable[int], symbol_map: SymbolMap) -> Packet:
     return tuple(symbol_map.encode(i) for i in codeword)
 
 
-def node_process(incoming: Sequence[Packet], k: int) -> Packet | None:
-    """First k distinct nonzero symbols in scan order, or None on failure."""
+def _first_distinct(incoming: Sequence[Packet], k: int) -> list[int]:
+    """Up to k distinct nonzero symbols, first occurrences in scan order."""
     seen: set[int] = set()
     out: list[int] = []
     for packet in incoming:
@@ -179,8 +181,14 @@ def node_process(incoming: Sequence[Packet], k: int) -> Packet | None:
                 seen.add(s)
                 out.append(s)
                 if len(out) == k:
-                    return tuple(out)
-    return None
+                    return out
+    return out
+
+
+def node_process(incoming: Sequence[Packet], k: int) -> Packet | None:
+    """First k distinct nonzero symbols in scan order, or None on failure."""
+    out = _first_distinct(incoming, k)
+    return tuple(out) if len(out) == k else None
 
 
 @dataclass(frozen=True)
@@ -198,17 +206,7 @@ def sink_recover(incoming: Sequence[Packet], k: int, symbol_map: SymbolMap) -> R
     Nonzero symbols outside the map image are discarded and counted;
     they cost the decoder one erasure each.
     """
-    seen: set[int] = set()
-    symbols: list[int] = []
-    for packet in incoming:
-        for s in packet:
-            if s and s not in seen:
-                seen.add(s)
-                symbols.append(s)
-                if len(symbols) == k:
-                    break
-        if len(symbols) == k:
-            break
+    symbols = _first_distinct(incoming, k)
     padded = k - len(symbols)
     indices = []
     invalid = 0
@@ -282,8 +280,9 @@ def apply_adversary(
             packet = []
             for s in flight[edge]:
                 if rng.random() < model.prob:
-                    others = [x for x in range(1, q) if x != s]
-                    s = rng.choice(others)
+                    # uniform over the q - 2 nonzero symbols other than s
+                    x = rng.randrange(1, q - 1)
+                    s = x + (x >= s)
                 packet.append(s)
             out[edge] = tuple(packet)
         return out

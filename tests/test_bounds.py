@@ -8,6 +8,7 @@ from cwlattice.bounds import (
     johnson1_refined,
     johnson1_refined_feasible,
     johnson2,
+    search_upper_bound,
     singleton_bound,
     sphere_covering_lower,
     sphere_packing_bound,
@@ -121,6 +122,14 @@ def test_bound_report_johnson1_inapplicable():
     assert not report.entry("johnson1").applicable
     assert report.entry("johnson2").value == 14
     assert report.upper_bound == 14
+
+
+def test_search_upper_bound_takes_the_complement():
+    # (10,7,4) codes complement to (10,3,4) codes, whose bound is tighter
+    assert bound_report(10, 7, 4).upper_bound == 22
+    assert bound_report(10, 3, 4).upper_bound == 13
+    assert search_upper_bound(10, 7, 4) == 13
+    assert search_upper_bound(10, 3, 4) == 13
 
 
 def test_bound_report_trivial_distance():
