@@ -26,7 +26,7 @@ from cwlattice.lattice import (
     check_primary,
     check_prime,
 )
-from cwlattice.pool import full_alphabet, pool_from_json
+from cwlattice.pool import pool_from_json
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
@@ -51,16 +51,25 @@ class SchemaError(ValueError):
     pass
 
 
-def _load_json_file(path: str) -> object:
+def _load_json_file(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return _parse_json(fh.read(), path)
     except FileNotFoundError:
         raise SchemaError(f"{path}: file not found") from None
+
+
+def _parse_json(text: str, where: str) -> dict:
+    """The JSON object in text; anything else is a schema error naming where."""
+    try:
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+            f"{where}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
@@ -104,7 +113,7 @@ def cmd_pool(args) -> int:
             shown = element.to_hex() if pool.field.p == 2 else list(element.coeffs)
         else:
             shown = sorted(element)
-        result["compose"] = {"subset": list(subset), "element": _jsonable(shown)}
+        result["compose"] = {"subset": list(subset), "element": shown}
         lines.append(f"compose {list(subset)} -> {shown}")
     if args.decompose:
         from cwlattice.gf import Polynomial
@@ -117,12 +126,6 @@ def cmd_pool(args) -> int:
         lines.append(f"decompose {args.decompose} -> {list(subset)}")
     _emit(result, args, lines)
     return 0
-
-
-def _jsonable(x):
-    if isinstance(x, frozenset):
-        return sorted(x)
-    return x
 
 
 def cmd_bounds(args) -> int:
@@ -159,7 +162,11 @@ def cmd_search(args) -> int:
         code = cliques.extract_code(graph, result.witnesses[0])
         payload["code"] = code.to_json()
         lines.append(f"witness code: {code.to_json()['codewords']}")
-    if args.count:
+    if args.count and not result.complete:
+        # a count of cliques of an uncertified size would count the wrong thing
+        payload.update(count=None, count_capped=False, count_complete=False)
+        lines.append("count skipped: size not certified")
+    elif args.count:
         counted = cliques.count_maximum_cliques(
             graph, result.size, cap=args.cap, timeout=args.timeout
         )
@@ -236,24 +243,30 @@ def cmd_lattice(args) -> int:
     return 0
 
 
+# the keys --topology accepts; an unknown key is an error, never ignored
+TOPOLOGY_FIELDS = {"layers", "width", "indegree", "density", "seed"}
+# adversary models by their "type" name; the other keys are the model's fields
+ADVERSARIES = {
+    model.kind: model
+    for model in (saf.NoAdversary, saf.RandomSubstitution, saf.TargetedSubstitution, saf.EdgeErasure)
+}
+
+
 def _adversary_from_json(obj: dict) -> saf.Adversary:
-    kind = obj.get("type", "none")
-    if kind == "none":
-        return saf.NoAdversary()
-    if kind == "random_substitution":
-        return saf.RandomSubstitution(prob=obj["prob"], seed=obj.get("seed", 0))
-    if kind == "targeted_substitution":
-        rules = tuple(
-            (tuple(r["edge"]), r["old"], r["new"]) for r in obj["rules"]
-        )
-        return saf.TargetedSubstitution(rules=rules)
-    if kind == "edge_erasure":
-        return saf.EdgeErasure(
-            prob=obj.get("prob", 0.0),
-            edges=tuple(tuple(e) for e in obj.get("edges", [])),
-            seed=obj.get("seed", 0),
-        )
-    raise SchemaError(f"unknown adversary type {kind!r}")
+    fields = dict(obj)
+    kind = fields.pop("type", "none")
+    if not isinstance(kind, str) or kind not in ADVERSARIES:
+        raise SchemaError(f"--adversary: unknown adversary type {kind!r}")
+    try:
+        if "rules" in fields:
+            fields["rules"] = tuple((tuple(r["edge"]), r["old"], r["new"]) for r in fields["rules"])
+        if "edges" in fields:
+            fields["edges"] = tuple(tuple(e) for e in fields["edges"])
+        return ADVERSARIES[kind](**fields)
+    except KeyError as exc:
+        raise SchemaError(f"--adversary: missing field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"--adversary: {exc}") from None
 
 
 def cmd_simulate(args) -> int:
@@ -265,22 +278,21 @@ def cmd_simulate(args) -> int:
             raise SchemaError("simulate needs --code and --pool (or --sample)")
         code = ConstantWeightCode.from_json(_load_json_file(args.code))
         pool = pool_from_json(_load_json_file(args.pool))
+    topo_obj = _parse_json(args.topology, "--topology")
+    unknown = sorted(set(topo_obj) - TOPOLOGY_FIELDS)
+    if unknown:
+        raise SchemaError(f"--topology: unknown field {unknown[0]!r}")
     try:
-        topo_obj = json.loads(args.topology)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"--topology: invalid JSON: {exc.msg}") from None
-    spec = saf.TopologySpec(
-        layers=topo_obj["layers"],
-        width=topo_obj["width"],
-        max_indegree=topo_obj.get("indegree", topo_obj.get("max_indegree", 3)),
-        edge_density=topo_obj.get("density", 0.5),
-        seed=topo_obj.get("seed", args.seed),
-    )
-    try:
-        adv_obj = json.loads(args.adversary) if args.adversary else {"type": "none"}
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"--adversary: invalid JSON: {exc.msg}") from None
-    adversary = _adversary_from_json(adv_obj)
+        spec = saf.TopologySpec(
+            layers=topo_obj["layers"],
+            width=topo_obj["width"],
+            max_indegree=topo_obj.get("indegree", 3),
+            edge_density=topo_obj.get("density", 0.5),
+            seed=topo_obj.get("seed", args.seed),
+        )
+    except KeyError as exc:
+        raise SchemaError(f"--topology: missing field {exc}") from None
+    adversary = _adversary_from_json(_parse_json(args.adversary or "{}", "--adversary"))
     symbol_map = saf.SymbolMap.default(code.n)
     stats = saf.run_experiment(
         code, pool, symbol_map, spec, adversary, trials=args.trials, seed=args.seed

@@ -18,15 +18,16 @@ def symmetric_distance(a: Iterable[int], b: Iterable[int]) -> int:
     return len(set(a) ^ set(b))
 
 
-def _validated_codeword(cw: Iterable[int], n: int) -> tuple[int, ...]:
-    indices = tuple(cw)
+def validated_indices(indices: Iterable[int], n: int) -> tuple[int, ...]:
+    """The index set as a tuple, if nonempty, strictly increasing and in 0..n-1."""
+    indices = tuple(indices)
     if not indices:
-        raise ValueError("codeword must be nonempty")
+        raise ValueError("index set must be nonempty")
     for x, y in zip(indices, indices[1:]):
         if x >= y:
-            raise ValueError(f"codeword must be strictly increasing, got {indices}")
+            raise ValueError(f"indices must be strictly increasing, got {indices}")
     if indices[0] < 0 or indices[-1] >= n:
-        raise ValueError(f"codeword indices must lie in 0..{n - 1}, got {indices}")
+        raise ValueError(f"indices must lie in 0..{n - 1}, got {indices}")
     return indices
 
 
@@ -36,7 +37,7 @@ class ConstantWeightCode:
     def __init__(self, n: int, codewords: Sequence[Iterable[int]]):
         if n < 1:
             raise ValueError("ground set size must be positive")
-        cws = [_validated_codeword(cw, n) for cw in codewords]
+        cws = [validated_indices(cw, n) for cw in codewords]
         if not cws:
             raise ValueError("code must contain at least one codeword")
         k = len(cws[0])

@@ -5,6 +5,13 @@ tuple (a_0, a_1, ..., a_n) with every entry reduced mod p and the last
 entry nonzero; the zero polynomial is the empty tuple.  The usual
 operators +, -, *, //, %, divmod are overloaded.
 
+The constructor is the one place where reduction happens: it takes
+any integers, reduces each mod p and strips trailing zeros.  The
+operators therefore compute on plain integers and hand their unreduced
+coefficient lists to it; only long division reduces each quotient
+digit itself, so that a zero digit is skipped and the remainder
+entries stay small.
+
 Binary polynomials additionally support a compact hexadecimal codec:
 the coefficients are read highest degree first as a binary string,
 left-padded with zeros to a whole number of nibbles, and each nibble is
@@ -55,9 +62,6 @@ class PrimeField:
         if not is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
-
-    def element(self, x: int) -> int:
-        return x % self.p
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and other.p == self.p
@@ -126,36 +130,24 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_field(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.field.p
-        return Polynomial(self.field, out)
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return Polynomial(self.field, [a + b for a, b in pairs])
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_field(other)
-        p = self.field.p
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [0] * n
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else 0
-            b = other.coeffs[i] if i < len(other.coeffs) else 0
-            out[i] = (a - b) % p
-        return Polynomial(self.field, out)
+        pairs = itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)
+        return Polynomial(self.field, [a - b for a, b in pairs])
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_field(other)
         if not self or not other:
             return Polynomial.zero(self.field)
-        p = self.field.p
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
-                out[i + j] = (out[i + j] + a * b) % p
+                out[i + j] += a * b
         return Polynomial(self.field, out)
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
@@ -174,7 +166,7 @@ class Polynomial:
             if c:
                 quot[shift] = c
                 for i, b in enumerate(other.coeffs):
-                    rem[shift + i] = (rem[shift + i] - c * b) % p
+                    rem[shift + i] -= c * b
         return Polynomial(self.field, quot), Polynomial(self.field, rem)
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
@@ -182,9 +174,6 @@ class Polynomial:
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[1]
-
-    def divides(self, other: "Polynomial") -> bool:
-        return not (other % self)
 
     def to_hex(self) -> str:
         """Uppercase hex string of the MSB-first coefficient bits (GF(2) only)."""
@@ -212,22 +201,6 @@ class Polynomial:
             coeffs.append(value & 1)
             value >>= 1
         return cls(field, coeffs)
-
-    def to_json(self) -> dict:
-        if self.field.p == 2:
-            return {"p": 2, "hex": self.to_hex()}
-        return {"p": self.field.p, "coeffs": list(self.coeffs)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Polynomial":
-        if not isinstance(obj, dict) or "p" not in obj:
-            raise ValueError("polynomial JSON must be an object with a 'p' key")
-        field = PrimeField(obj["p"])
-        if "hex" in obj:
-            return cls.from_hex(obj["hex"], field)
-        if "coeffs" in obj:
-            return cls(field, obj["coeffs"])
-        raise ValueError("polynomial JSON needs either 'hex' or 'coeffs'")
 
     def __repr__(self) -> str:
         if not self.coeffs:

@@ -20,7 +20,11 @@ having a unique irredundant irreducible decomposition, which
 ``decomposition_theorem_report`` checks from both sides.
 
 An optional commutative multiplication table compatible with the order
-(xy <= x meet y) supports the prime and primary element tests.
+(xy <= x meet y) supports the prime and primary element tests.  Both
+are closure checks on the down row D of the tested element: p is prime
+iff ab lies outside D for all a, b outside D, and q is primary iff ab
+lies outside D for every a outside D and every b none of whose powers
+lies in D.
 """
 
 from __future__ import annotations
@@ -292,13 +296,15 @@ class MultiplicationTable:
 
     def powers(self, b: str) -> list[str]:
         """b, b^2, ... until the power sequence repeats."""
-        lat = self.lattice
-        x = lat._idx(b)
+        return [self.lattice.elements[i] for i in self._powers(self.lattice._idx(b))]
+
+    def _powers(self, b: int) -> list[int]:
         seen: list[int] = []
+        x = b
         while x not in seen:
             seen.append(x)
-            x = self._table[x][lat._idx(b)]
-        return [lat.elements[i] for i in seen]
+            x = self._table[x][b]
+        return seen
 
     def to_json(self) -> list[list[str]]:
         els = self.lattice.elements
@@ -307,22 +313,19 @@ class MultiplicationTable:
 
 def check_prime(lattice: FiniteLattice, table: MultiplicationTable, p: str) -> bool:
     """p >= ab implies p >= a or p >= b, for all a, b."""
-    for a in lattice.elements:
-        for b in lattice.elements:
-            if lattice.leq(table.mul(a, b), p):
-                if not (lattice.leq(a, p) or lattice.leq(b, p)):
-                    return False
-    return True
+    down = lattice._down[lattice._idx(p)]
+    outside = [a for a in range(len(lattice)) if not down >> a & 1]
+    return all(not down >> table._table[a][b] & 1 for a in outside for b in outside)
 
 
 def check_primary(lattice: FiniteLattice, table: MultiplicationTable, q: str) -> bool:
     """q >= ab and q not >= a imply q >= b^s for some s."""
-    for a in lattice.elements:
-        for b in lattice.elements:
-            if lattice.leq(table.mul(a, b), q) and not lattice.leq(a, q):
-                if not any(lattice.leq(pw, q) for pw in table.powers(b)):
-                    return False
-    return True
+    down = lattice._down[lattice._idx(q)]
+    outside = [a for a in range(len(lattice)) if not down >> a & 1]
+    no_power_below = [
+        b for b in outside if not any(down >> x & 1 for x in table._powers(b))
+    ]
+    return all(not down >> table._table[a][b] & 1 for a in outside for b in no_power_below)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from cwlattice.code import validated_indices
 from cwlattice.gf import Polynomial, PrimeField, is_irreducible
 
 
@@ -25,18 +26,6 @@ class NotDecomposableError(ValueError):
 
 class NotSquarefreeError(ValueError):
     """Some constituent divides the element more than once."""
-
-
-def _validated_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
-    indices = tuple(subset)
-    if not indices:
-        raise ValueError("subset must be nonempty")
-    for a, b in zip(indices, indices[1:]):
-        if a >= b:
-            raise ValueError(f"indices must be strictly increasing, got {indices}")
-    if indices[0] < 0 or indices[-1] >= n:
-        raise ValueError(f"indices must lie in 0..{n - 1}, got {indices}")
-    return indices
 
 
 class PolynomialPool:
@@ -67,7 +56,7 @@ class PolynomialPool:
 
     def compose(self, subset: Iterable[int]) -> Polynomial:
         """Product of the selected generators."""
-        indices = _validated_subset(subset, self.n)
+        indices = validated_indices(subset, self.n)
         out = Polynomial.one(self.field)
         for i in indices:
             out = out * self.constituents[i]
@@ -76,8 +65,9 @@ class PolynomialPool:
     def decompose(self, element: Polynomial) -> tuple[int, ...]:
         """The unique index subset whose compose equals the element.
 
-        Found by trial division against each pool constituent.  The unit
-        element decomposes to the empty subset.
+        Found by one trial division per constituent, stopping once the
+        quotient is constant.  The unit element decomposes to the empty
+        subset.
         """
         if element.field != self.field:
             raise ValueError("element is not defined over the pool's field")
@@ -86,16 +76,20 @@ class PolynomialPool:
         remaining = element
         found = []
         for i, f in enumerate(self.constituents):
+            if remaining.degree < 1:
+                break
             quotient, rem = divmod(remaining, f)
-            if rem:
-                continue
-            if not quotient % f:
-                raise NotSquarefreeError(
-                    f"constituent #{i} divides the element more than once"
-                )
-            found.append(i)
-            remaining = quotient
+            if not rem:
+                found.append(i)
+                remaining = quotient
         if remaining != Polynomial.one(self.field):
+            # the constituents are coprime, so one still dividing the
+            # rest is exactly one that divides the element twice
+            for i in found:
+                if not remaining % self.constituents[i]:
+                    raise NotSquarefreeError(
+                        f"constituent #{i} divides the element more than once"
+                    )
             raise NotDecomposableError(
                 f"factor {remaining!r} is not a pool constituent"
             )
@@ -135,7 +129,7 @@ class SubsetPool:
         self.n = n
 
     def compose(self, subset: Iterable[int]) -> frozenset[int]:
-        return frozenset(_validated_subset(subset, self.n))
+        return frozenset(validated_indices(subset, self.n))
 
     def decompose(self, element: Iterable[int]) -> tuple[int, ...]:
         indices = tuple(sorted(set(element)))

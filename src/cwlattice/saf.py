@@ -224,6 +224,11 @@ def sink_recover(incoming: Sequence[Packet], k: int, symbol_map: SymbolMap) -> R
 # ---------------------------------------------------------------------------
 # adversary models
 
+def _check_prob(prob: float) -> None:
+    if isinstance(prob, bool) or not isinstance(prob, (int, float)) or not 0 <= prob <= 1:
+        raise ValueError(f"prob must be a number in [0, 1], got {prob!r}")
+
+
 @dataclass(frozen=True)
 class NoAdversary:
     kind = "none"
@@ -237,6 +242,9 @@ class RandomSubstitution:
     prob: float
     seed: int = 0
     kind = "random_substitution"
+
+    def __post_init__(self):
+        _check_prob(self.prob)
 
 
 @dataclass(frozen=True)
@@ -260,6 +268,9 @@ class EdgeErasure:
     edges: tuple[Edge, ...] = ()
     seed: int = 0
     kind = "edge_erasure"
+
+    def __post_init__(self):
+        _check_prob(self.prob)
 
 
 Adversary = NoAdversary | RandomSubstitution | TargetedSubstitution | EdgeErasure

@@ -62,6 +62,47 @@ def lub_oracle(lat: FiniteLattice, a: str, b: str) -> str:
     return least[0]
 
 
+def prime_oracle(lat: FiniteLattice, table, p: str) -> bool:
+    """p >= ab implies p >= a or p >= b, for all a, b."""
+    return all(
+        lat.leq(a, p) or lat.leq(b, p)
+        for a in lat.elements
+        for b in lat.elements
+        if lat.leq(table.mul(a, b), p)
+    )
+
+
+def primary_oracle(lat: FiniteLattice, table, q: str) -> bool:
+    """q >= ab and q not >= a imply q >= b^s for some s."""
+
+    def some_power_below(b: str) -> bool:
+        seen, x = [], b
+        while x not in seen:
+            if lat.leq(x, q):
+                return True
+            seen.append(x)
+            x = table.mul(x, b)
+        return False
+
+    return all(
+        some_power_below(b)
+        for a in lat.elements
+        for b in lat.elements
+        if lat.leq(table.mul(a, b), q) and not lat.leq(a, q)
+    )
+
+
+def random_multiplication_rows(lat: FiniteLattice, rng: random.Random) -> list[list[str]]:
+    """A random commutative table whose every product lies below the meet."""
+    els = lat.elements
+    rows = [[None] * len(els) for _ in els]
+    for i, a in enumerate(els):
+        for j in range(i, len(els)):
+            meet = lat.meet(a, els[j])
+            rows[i][j] = rows[j][i] = rng.choice([z for z in els if lat.leq(z, meet)])
+    return rows
+
+
 def all_lattices(m: int):
     """Every lattice on m labeled elements whose numeric order is a linear
     extension (so every lattice shape appears at least once).

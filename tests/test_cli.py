@@ -101,6 +101,19 @@ def test_search_count(capsys):
     assert obj["max_size"] == 4 and obj["count"] == 105
 
 
+def test_search_count_skipped_when_size_not_certified(capsys):
+    # a zero timeout stops the search at its first deadline check
+    argv = ("search", "--n", "11", "--k", "4", "--d", "4", "--exact", "--count", "--timeout", "0")
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    assert "count skipped: size not certified" in out
+    assert "maximum cliques" not in out
+    rc, out, _ = run(capsys, *argv, "--json")
+    obj = json.loads(out)
+    assert not obj["complete"]
+    assert obj["count"] is None and obj["count_complete"] is False
+
+
 def test_lattice_analysis(tmp_path, capsys):
     doc = pentagon_n5().to_json()
     path = tmp_path / "n5.json"
@@ -165,6 +178,42 @@ def test_simulate_usage_error(capsys):
     )
     assert rc == 2
     assert "--sample" in err
+
+
+TOPOLOGY = '{"layers":2,"width":1}'
+
+
+@pytest.mark.parametrize(
+    "flags, flag, field",
+    [
+        (("--topology", "3"), "--topology", "expected a JSON object"),
+        (("--topology", "{}"), "--topology", "'layers'"),
+        (("--topology", '{"layers":2,"width":1,"max_indegree":1}'), "--topology", "'max_indegree'"),
+        (("--topology", TOPOLOGY, "--adversary", "[]"), "--adversary", "expected a JSON object"),
+        (("--topology", TOPOLOGY, "--adversary", '{"type":"random_substitution","prob":2}'), "--adversary", "prob"),
+        (("--topology", TOPOLOGY, "--adversary", '{"type":"edge_erasure","prob":-0.5}'), "--adversary", "prob"),
+        (("--topology", TOPOLOGY, "--adversary", '{"type":"none","prob":0.1}'), "--adversary", "'prob'"),
+    ],
+    ids=["topology-int", "topology-empty", "topology-old-key", "adversary-list",
+         "substitution-prob", "erasure-prob", "adversary-unknown-key"],
+)
+def test_simulate_malformed_flags(capsys, flags, flag, field):
+    rc, _, err = run(capsys, "simulate", "--sample", *flags, "--trials", "1")
+    assert rc == 2
+    assert err.startswith(f"error: {flag}: ") and field in err and err.count("\n") == 1
+
+
+def test_simulate_pool_file_not_an_object(tmp_path, capsys):
+    path = tmp_path / "pool.json"
+    path.write_text("[1,2]")
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps(sample_code().to_json()))
+    rc, _, err = run(
+        capsys, "simulate", "--code", str(code), "--pool", str(path),
+        "--topology", TOPOLOGY, "--trials", "1",
+    )
+    assert rc == 2
+    assert err == f"error: {path}: expected a JSON object, got list\n"
 
 
 def test_unknown_flag_rejected(capsys):

@@ -98,6 +98,58 @@ def test_division_identity_randomized(p):
         assert r.degree < b.degree
 
 
+def _trimmed(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _schoolbook(p, a, b):
+    """Coefficient-list +, -, * and long division mod p, reducing at every step."""
+    n = max(len(a), len(b))
+    a0, b0 = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    add = _trimmed((x + y) % p for x, y in zip(a0, b0))
+    sub = _trimmed((x - y) % p for x, y in zip(a0, b0))
+    mul = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            mul[i + j] = (mul[i + j] + x * y) % p
+    if not b:
+        return add, sub, _trimmed(mul), None
+    quot, rem = [0] * max(len(a) - len(b) + 1, 0), list(a)
+    inv = pow(b[-1], p - 2, p)
+    for shift in range(len(a) - len(b), -1, -1):
+        c = rem[shift + len(b) - 1] * inv % p
+        quot[shift] = c
+        for i, y in enumerate(b):
+            rem[shift + i] = (rem[shift + i] - c * y) % p
+    return add, sub, _trimmed(mul), (_trimmed(quot), _trimmed(rem))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_operators_match_schoolbook_oracle(p):
+    field = PrimeField(p)
+    zero = Polynomial.zero(field)
+    rng = random.Random(99 + p)
+    for _ in range(400):
+        raw_a = [rng.randrange(-2 * p, 2 * p) for _ in range(rng.randrange(0, 9))]
+        raw_b = [rng.randrange(-2 * p, 2 * p) for _ in range(rng.randrange(0, 6))]
+        a, b = Polynomial(field, raw_a), Polynomial(field, raw_b)
+        add, sub, mul, div = _schoolbook(p, _trimmed(c % p for c in raw_a), _trimmed(c % p for c in raw_b))
+        assert (a + b).coeffs == add
+        assert (a - b).coeffs == sub
+        assert (a * b).coeffs == mul
+        if div is None:
+            with pytest.raises(ZeroDivisionError):
+                divmod(a, b)
+        else:
+            q, r = divmod(a, b)
+            assert (q.coeffs, r.coeffs) == div
+        assert a - a == zero
+        assert (a - b) + b == a
+
+
 def test_irreducible_known_cases(f2):
     assert is_irreducible(P(f2, 1, 1, 1))  # X^2+X+1
     assert not is_irreducible(P(f2, 1, 0, 1))  # (X+1)^2
@@ -155,13 +207,3 @@ def test_hex_rejects_garbage(f2):
         Polynomial.from_hex("XYZ", f2)
     with pytest.raises(ValueError):
         Polynomial.from_hex("", f2)
-
-
-def test_json_roundtrip(f2):
-    f = P(f2, 1, 0, 1, 1)
-    assert Polynomial.from_json(f.to_json()) == f
-    f5 = PrimeField(5)
-    g = Polynomial(f5, [2, 0, 4, 1])
-    obj = g.to_json()
-    assert obj == {"p": 5, "coeffs": [2, 0, 4, 1]}
-    assert Polynomial.from_json(obj) == g

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -14,7 +15,14 @@ from cwlattice.lattice import (
     irreducible_not_primary_example,
     pentagon_n5,
 )
-from helpers import all_lattices, glb_oracle, lub_oracle
+from helpers import (
+    all_lattices,
+    glb_oracle,
+    lub_oracle,
+    primary_oracle,
+    prime_oracle,
+    random_multiplication_rows,
+)
 
 NAMED = {}
 
@@ -179,6 +187,22 @@ def test_meet_multiplication_makes_chain_elements_prime():
     for x in c4.elements:
         assert check_prime(c4, table, x)
         assert check_primary(c4, table, x)
+
+
+def test_prime_and_primary_match_definition():
+    rng = random.Random(17)
+    tables = 0
+    for m in range(1, 7):
+        for lat in all_lattices(m):
+            els = lat.elements
+            meet_rows = [[lat.meet(a, b) for b in els] for a in els]
+            for rows in [meet_rows] + [random_multiplication_rows(lat, rng) for _ in range(6)]:
+                table = MultiplicationTable(lat, rows)
+                for x in els:
+                    assert check_prime(lat, table, x) == prime_oracle(lat, table, x), (lat.to_json(), rows, x)
+                    assert check_primary(lat, table, x) == primary_oracle(lat, table, x), (lat.to_json(), rows, x)
+                tables += 1
+    assert tables == 7 * 51
 
 
 def test_example_irreducible_but_not_primary():

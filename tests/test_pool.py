@@ -32,6 +32,12 @@ def binary_irreducibles(count):
     return out
 
 
+def gf3_pool():
+    """X, X+1 and X^2+1 over GF(3)."""
+    f3 = PrimeField(3)
+    return PolynomialPool([Polynomial(f3, c) for c in ((0, 1), (1, 1), (1, 0, 1))])
+
+
 def test_pool_validation_rejects_reducible(f2):
     with pytest.raises(ValueError, match="reducible"):
         PolynomialPool([Polynomial(f2, (1, 0, 1))])
@@ -89,10 +95,15 @@ def test_decompose_unit_is_empty(pool744, f2):
     assert pool744.decompose(Polynomial.one(f2)) == ()
 
 
-def test_decompose_square_raises(pool744):
+def test_decompose_square_raises(pool744, f2):
     f1 = pool744.constituents[0]
     with pytest.raises(NotSquarefreeError):
         pool744.decompose(f1 * f1)
+    # the first squared constituent is named, ahead of a foreign factor
+    c = pool744.constituents
+    foreign = Polynomial(f2, (1, 1, 1, 1, 1))
+    with pytest.raises(NotSquarefreeError, match=r"^constituent #3 divides"):
+        pool744.decompose(c[1] * c[3] * c[3] * c[5] * c[5] * foreign)
 
 
 def test_decompose_foreign_factor_raises(pool744, f2):
@@ -102,6 +113,14 @@ def test_decompose_foreign_factor_raises(pool744, f2):
         pool744.decompose(pool744.constituents[0] * foreign)
     with pytest.raises(NotDecomposableError):
         pool744.decompose(Polynomial.zero(f2))
+    pool = gf3_pool()
+    with pytest.raises(NotDecomposableError, match=r"^factor Poly\(2 over GF\(3\)\) is not"):
+        pool.decompose(pool.compose([0, 2]) * Polynomial(pool.field, (2,)))
+
+
+def test_decompose_product_of_all_constituents(pool744):
+    for pool in (pool744, gf3_pool()):
+        assert pool.decompose(pool.compose(range(pool.n))) == tuple(range(pool.n))
 
 
 def test_full_alphabet_of_sample_code(pool744, code744):

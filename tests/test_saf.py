@@ -148,6 +148,15 @@ def test_apply_adversary_edge_erasure():
     assert gone == {}
 
 
+@pytest.mark.parametrize("model", [RandomSubstitution, EdgeErasure])
+def test_adversary_prob_must_lie_in_unit_interval(model):
+    for prob in (0, 0.5, 1):
+        model(prob=prob)
+    for prob in (-0.1, 1.5, 2, float("nan"), True, "0.5"):
+        with pytest.raises(ValueError, match="prob"):
+            model(prob=prob)
+
+
 def test_erasure_leaves_disjoint_path_intact(code744, pool744):
     # two parallel source->middle->sink paths; erase one of them
     topo = NetworkTopology(
