@@ -72,6 +72,16 @@ def _parse_json(text: str, where: str) -> dict:
     return obj
 
 
+def _from_document(load, obj: dict, path: str, what: str):
+    """load(obj); a missing or mistyped field is a schema error naming the file."""
+    try:
+        return load(obj)
+    except KeyError as exc:
+        raise SchemaError(f"{path}: bad {what} document: missing field {exc}") from None
+    except TypeError as exc:
+        raise SchemaError(f"{path}: bad {what} document: {exc}") from None
+
+
 def _parse_indices(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -99,8 +109,7 @@ def cmd_pool(args) -> int:
     if args.sample:
         pool = data.sample_pool()
     else:
-        obj = _load_json_file(args.file)
-        pool = pool_from_json(obj)
+        pool = _from_document(pool_from_json, _load_json_file(args.file), args.file, "pool")
     result = {"pool": pool.to_json()}
     lines = [f"pool: backend={pool.backend} n={pool.n}"]
     if pool.backend == "poly":
@@ -152,6 +161,7 @@ def cmd_search(args) -> int:
         "max_size": result.size,
         "complete": result.complete,
         "elapsed": round(result.elapsed, 3),
+        "nodes": result.nodes,
     }
     lines = [
         f"max clique for (n={args.n}, k={args.k}, d={args.d}, "
@@ -164,7 +174,7 @@ def cmd_search(args) -> int:
         lines.append(f"witness code: {code.to_json()['codewords']}")
     if args.count and not result.complete:
         # a count of cliques of an uncertified size would count the wrong thing
-        payload.update(count=None, count_capped=False, count_complete=False)
+        payload.update(count=None, count_capped=False, count_complete=False, count_nodes=0)
         lines.append("count skipped: size not certified")
     elif args.count:
         counted = cliques.count_maximum_cliques(
@@ -173,6 +183,7 @@ def cmd_search(args) -> int:
         payload["count"] = counted.count
         payload["count_capped"] = counted.capped
         payload["count_complete"] = counted.complete
+        payload["count_nodes"] = counted.nodes
         suffix = " (capped)" if counted.capped else ("" if counted.complete else " (timeout)")
         lines.append(f"maximum cliques of size {result.size}: {counted.count}{suffix}")
     _emit(payload, args, lines)
@@ -183,7 +194,9 @@ def cmd_decode(args) -> int:
     if args.sample_code:
         code = data.sample_code()
     else:
-        code = ConstantWeightCode.from_json(_load_json_file(args.code))
+        code = _from_document(
+            ConstantWeightCode.from_json, _load_json_file(args.code), args.code, "code"
+        )
     received = _parse_indices(args.received)
     result = decode(received, code)
     payload = {
@@ -205,10 +218,7 @@ def cmd_decode(args) -> int:
 
 def cmd_lattice(args) -> int:
     obj = _load_json_file(args.file)
-    try:
-        lat = FiniteLattice.from_json(obj)
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"{args.file}: bad lattice document: {exc}") from None
+    lat = _from_document(FiniteLattice.from_json, obj, args.file, "lattice")
     payload = {
         "elements": list(lat.elements),
         "top": lat.top,
@@ -243,8 +253,8 @@ def cmd_lattice(args) -> int:
     return 0
 
 
-# the keys --topology accepts; an unknown key is an error, never ignored
-TOPOLOGY_FIELDS = {"layers", "width", "indegree", "density", "seed"}
+# the keys --topology accepts and their types; an unknown key is an error, never ignored
+TOPOLOGY_FIELDS = {"layers": int, "width": int, "indegree": int, "density": float, "seed": int}
 # adversary models by their "type" name; the other keys are the model's fields
 ADVERSARIES = {
     model.kind: model
@@ -276,12 +286,22 @@ def cmd_simulate(args) -> int:
     else:
         if not args.code or not args.pool:
             raise SchemaError("simulate needs --code and --pool (or --sample)")
-        code = ConstantWeightCode.from_json(_load_json_file(args.code))
-        pool = pool_from_json(_load_json_file(args.pool))
+        code = _from_document(
+            ConstantWeightCode.from_json, _load_json_file(args.code), args.code, "code"
+        )
+        pool = _from_document(pool_from_json, _load_json_file(args.pool), args.pool, "pool")
     topo_obj = _parse_json(args.topology, "--topology")
-    unknown = sorted(set(topo_obj) - TOPOLOGY_FIELDS)
+    unknown = sorted(set(topo_obj) - set(TOPOLOGY_FIELDS))
     if unknown:
         raise SchemaError(f"--topology: unknown field {unknown[0]!r}")
+    for key, value in topo_obj.items():
+        kind = TOPOLOGY_FIELDS[key]
+        # JSON true/false are not numbers; an integer is a valid float
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            raise SchemaError(
+                f"--topology: field {key!r} must be "
+                f"{'a number' if kind is float else 'an integer'}, got {type(value).__name__}"
+            )
     try:
         spec = saf.TopologySpec(
             layers=topo_obj["layers"],
@@ -335,6 +355,7 @@ def cmd_table2(args) -> int:
                 "count": counted.count,
                 "capped": counted.capped,
                 "complete": counted.complete,
+                "nodes": counted.nodes,
             }
             count_txt = str(counted.count)
             if counted.capped:
@@ -351,6 +372,7 @@ def cmd_table2(args) -> int:
                 "complete": result.complete,
                 "reported_size": reported,
                 "elapsed": round(result.elapsed, 3),
+                "nodes": result.nodes,
                 "count": count_payload,
                 "notes": notes,
             }

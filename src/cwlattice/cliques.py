@@ -7,9 +7,25 @@ codes.  In "exact" mode adjacency requires distance exactly d, the
 generalized Johnson graph J(n, k, d/2).
 
 Adjacency rows are Python integers used as bitsets.  The search is
-branch-and-bound Bron-Kerbosch with greedy pivoting, pruned by the
-remaining candidate count and an optional external upper bound (from
-the bounds module); hitting that bound proves optimality early.
+branch and bound with a greedy sequential colouring bound (Tomita and
+Seki's MCQ, in the bitset form of San Segundo et al.'s BBMC): the
+candidates are split into colour classes of pairwise non-adjacent
+vertices, so a clique among the first classes has at most as many
+members as there are classes.  Vertices are branched in reverse colour
+order and a vertex of colour c is pruned when the clique so far plus c
+cannot beat the best.  An optional external upper bound (from the
+bounds module) ends the search as soon as it is met, which proves
+optimality early.
+
+Both searches start at vertex 0.  A permutation of {0..n-1} maps
+k-subsets to k-subsets and keeps every intersection size, so S_n acts
+on the graph by automorphisms, and it acts transitively on the
+vertices.  Hence some maximum clique contains vertex 0, and every
+vertex lies in the same number c0 of cliques of size s.  Counting the
+pairs (vertex, s-clique through it) both ways gives V * c0 = s * N,
+so the number of s-cliques is N = V * c0 / s, where c0 is the number
+of (s-1)-cliques among the neighbours of vertex 0.
+
 Everything is deterministic for a fixed vertex order.
 """
 
@@ -92,6 +108,7 @@ class CliqueResult:
     witnesses: tuple[tuple[int, ...], ...]
     complete: bool
     elapsed: float
+    nodes: int
 
 
 @dataclass
@@ -100,6 +117,7 @@ class CountResult:
     capped: bool
     complete: bool
     elapsed: float
+    nodes: int
 
 
 def _bits(x: int):
@@ -127,6 +145,32 @@ def _greedy_cliques(graph: CompatibilityGraph) -> list[int]:
         if len(cur) > len(best):
             best = sorted(cur)
     return best
+
+
+def _colour_classes(cands: int, others: list[int], kmin: int) -> tuple[list[int], list[int]]:
+    """Greedy sequential colouring of the candidate set.
+
+    Each colour class takes the highest remaining index first, then the
+    highest index not adjacent to anything already in the class (``others[v]``
+    masks out v and its neighbours), so low indices fill the last classes
+    and are branched first.  Returns the vertices of colour >= kmin with
+    their colours, in ascending colour order; a clique among the vertices
+    up to position i has at most ``colours[i]`` members.
+    """
+    verts: list[int] = []
+    colours: list[int] = []
+    colour = 0
+    while cands:
+        colour += 1
+        free = cands
+        while free:
+            v = free.bit_length() - 1
+            free &= others[v]
+            cands ^= 1 << v
+            if colour >= kmin:
+                verts.append(v)
+                colours.append(colour)
+    return verts, colours
 
 
 def max_clique(
@@ -157,45 +201,43 @@ def max_clique(
             witnesses=(tuple(best_verts),) if have_witness else (),
             complete=complete,
             elapsed=time.monotonic() - started,
+            nodes=state["calls"],
         )
 
     if upper_bound is not None and state["best"] >= upper_bound:
         return _result(True)
+    others = [~(row | 1 << v) for v, row in enumerate(adjacency)]
 
     def expand(chosen: list[int], cands: int) -> None:
         nonlocal best_verts
         state["calls"] += 1
-        if deadline is not None and state["calls"] % 4096 == 0:
-            if time.monotonic() > deadline:
+        if deadline is not None and state["calls"] % 4096 == 1:
+            if time.monotonic() >= deadline:
                 state["timed_out"] = True
                 raise _Stop
+        size = len(chosen)
         if not cands:
-            if len(chosen) > state["best"]:
-                state["best"] = len(chosen)
-                best_verts = chosen.copy()
-                if upper_bound is not None and state["best"] >= upper_bound:
+            if size > state["best"]:
+                state["best"] = size
+                best_verts = sorted(chosen)
+                if upper_bound is not None and size >= upper_bound:
                     raise _Stop
             return
-        if len(chosen) + cands.bit_count() <= state["best"]:
-            return
-        # pivot on the candidate covering most of the candidate set
-        pivot, cover = -1, -1
-        for u in _bits(cands):
-            c = (cands & adjacency[u]).bit_count()
-            if c > cover:
-                pivot, cover = u, c
-        for v in _bits(cands & ~adjacency[pivot]):
+        verts, colours = _colour_classes(cands, others, state["best"] - size + 1)
+        for i in range(len(verts) - 1, -1, -1):
+            if size + colours[i] <= state["best"]:
+                return
+            v = verts[i]
             chosen.append(v)
             expand(chosen, cands & adjacency[v])
             chosen.pop()
             cands ^= 1 << v
-            if len(chosen) + cands.bit_count() <= state["best"]:
-                return
 
     complete = True
     try:
         if V:
-            expand([], (1 << V) - 1)
+            # vertex-transitive graph: some maximum clique contains vertex 0
+            expand([0], adjacency[0])
     except _Stop:
         complete = not state["timed_out"]
     return _result(complete)
@@ -209,9 +251,10 @@ def count_maximum_cliques(
 ) -> CountResult:
     """Exact count of cliques of the given size (the known maximum).
 
-    Enumerates vertices in ascending order so each clique is visited
-    once.  Stops early when the count exceeds ``cap`` or the timeout
-    expires, flagging the result accordingly.
+    Counts the cliques through vertex 0 and scales by V / size, which
+    vertex transitivity makes exact.  Stops early when the count exceeds
+    ``cap`` or the timeout expires, flagging the result accordingly; the
+    count is then a lower bound.
     """
     if size < 1:
         raise ValueError("clique size must be positive")
@@ -219,52 +262,44 @@ def count_maximum_cliques(
     V = len(adjacency)
     started = time.monotonic()
     deadline = started + timeout if timeout is not None else None
-    above = [~((1 << (v + 1)) - 1) for v in range(V)]
-    state = {"count": 0, "calls": 0, "capped": False, "timed_out": False}
+    others = [~(row | 1 << v) for v, row in enumerate(adjacency)]
+    state = {"rooted": 0, "calls": 0, "capped": False}
 
     def rec(cands: int, need: int) -> None:
         state["calls"] += 1
-        if deadline is not None and state["calls"] % 4096 == 0:
-            if time.monotonic() > deadline:
-                state["timed_out"] = True
+        if deadline is not None and state["calls"] % 4096 == 1:
+            if time.monotonic() >= deadline:
                 raise _Stop
         if need == 1:
-            state["count"] += cands.bit_count()
-            if state["count"] > cap:
+            state["rooted"] += cands.bit_count()
+            if state["rooted"] * V > cap * size:
                 state["capped"] = True
                 raise _Stop
             return
-        if need == 2:
-            total = 0
-            for v in _bits(cands):
-                total += (cands & adjacency[v] & above[v]).bit_count()
-            state["count"] += total
-            if state["count"] > cap:
-                state["capped"] = True
-                raise _Stop
-            return
-        remaining = cands.bit_count()
-        for v in _bits(cands):
-            if remaining < need:
-                return
-            remaining -= 1
-            sub = cands & adjacency[v] & above[v]
+        # a clique of `need` vertices needs `need` colours: lower ones never start one
+        verts, _ = _colour_classes(cands, others, need)
+        for v in reversed(verts):
+            cands ^= 1 << v
+            sub = cands & adjacency[v]
             if sub.bit_count() >= need - 1:
                 rec(sub, need - 1)
 
     complete = True
     try:
         if size == 1:
-            state["count"] = V
+            state["rooted"] = 1
         elif V:
-            rec((1 << V) - 1, size)
+            rec(adjacency[0], size - 1)
     except _Stop:
         complete = False
+    if complete:
+        assert state["rooted"] * V % size == 0, "graph is not vertex-transitive"
     return CountResult(
-        count=state["count"],
+        count=state["rooted"] * V // size,
         capped=state["capped"],
         complete=complete,
         elapsed=time.monotonic() - started,
+        nodes=state["calls"],
     )
 
 

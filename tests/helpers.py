@@ -47,6 +47,32 @@ def brute_max_clique_size(graph: CompatibilityGraph) -> int:
     return best
 
 
+def count_cliques_oracle(graph: CompatibilityGraph, size: int) -> int:
+    """Cliques of the given size, each built once in ascending vertex order.
+
+    Uses no symmetry and no colouring, unlike ``count_maximum_cliques``.
+    """
+    adjacency = graph.adjacency
+    V = len(adjacency)
+    above = [~((1 << (v + 1)) - 1) for v in range(V)]
+
+    def rec(cands: int, need: int) -> int:
+        if need == 1:
+            return cands.bit_count()
+        total = 0
+        mask = cands
+        while mask:
+            low = mask & -mask
+            v = low.bit_length() - 1
+            mask ^= low
+            sub = cands & adjacency[v] & above[v]
+            if sub.bit_count() >= need - 1:
+                total += rec(sub, need - 1)
+        return total
+
+    return rec((1 << V) - 1, size)
+
+
 def glb_oracle(lat: FiniteLattice, a: str, b: str) -> str:
     """Greatest lower bound recomputed directly from the order relation."""
     commons = [z for z in lat.elements if lat.leq(z, a) and lat.leq(z, b)]

@@ -8,7 +8,6 @@ failure; the verifiable part of the criterion is asserted exactly.
 """
 
 import itertools
-import os
 import time
 from contextlib import contextmanager
 from math import comb
@@ -135,13 +134,7 @@ def test_criterion_5_maximum_clique_counts():
 
 
 def test_criterion_5_large_count_row():
-    if not os.environ.get("CWLATTICE_FULL_COUNTS"):
-        print("criterion 5 ((10,3,4) count): SKIPPED under default budget")
-        pytest.skip(
-            "counting all maximum cliques of (10,3,4) takes ~7 minutes; "
-            "a completed full run measured 1814400 maximum 13-cliques, "
-            "not the published 373680 - set CWLATTICE_FULL_COUNTS=1 to rerun"
-        )
+    # 1814400 maximum 13-cliques, not the published 373680
     with criterion("5 ((10,3,4) count, full run)"):
         result = count_maximum_cliques(build_graph(10, 3, 4), 13, cap=2 * 10 ** 6)
         assert result.complete and not result.capped

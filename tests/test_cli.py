@@ -56,6 +56,22 @@ def test_pool_schema_error(tmp_path, capsys):
     assert "line 1" in err
 
 
+def test_pool_file_missing_field(tmp_path, capsys):
+    path = tmp_path / "pool.json"
+    path.write_text('{"backend":"poly"}')
+    rc, _, err = run(capsys, "pool", "--file", str(path))
+    assert rc == 2
+    assert err == f"error: {path}: bad pool document: missing field 'p'\n"
+
+
+def test_decode_code_file_missing_field(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    path.write_text('{"n":7}')
+    rc, _, err = run(capsys, "decode", "--code", str(path), "--received", "1,3,6")
+    assert rc == 2
+    assert err == f"error: {path}: bad code document: missing field 'codewords'\n"
+
+
 def test_decode_erasure_case(capsys):
     rc, out, _ = run(capsys, "decode", "--sample-code", "--received", "1,3,6")
     assert rc == 0
@@ -99,6 +115,7 @@ def test_search_count(capsys):
     assert rc == 0
     obj = json.loads(out)
     assert obj["max_size"] == 4 and obj["count"] == 105
+    assert obj["nodes"] >= 0 and obj["count_nodes"] > 0
 
 
 def test_search_count_skipped_when_size_not_certified(capsys):
@@ -189,12 +206,15 @@ TOPOLOGY = '{"layers":2,"width":1}'
         (("--topology", "3"), "--topology", "expected a JSON object"),
         (("--topology", "{}"), "--topology", "'layers'"),
         (("--topology", '{"layers":2,"width":1,"max_indegree":1}'), "--topology", "'max_indegree'"),
+        (("--topology", '{"layers":"3","width":2}'), "--topology", "'layers'"),
+        (("--topology", '{"layers":3,"width":2,"density":true}'), "--topology", "'density'"),
         (("--topology", TOPOLOGY, "--adversary", "[]"), "--adversary", "expected a JSON object"),
         (("--topology", TOPOLOGY, "--adversary", '{"type":"random_substitution","prob":2}'), "--adversary", "prob"),
         (("--topology", TOPOLOGY, "--adversary", '{"type":"edge_erasure","prob":-0.5}'), "--adversary", "prob"),
         (("--topology", TOPOLOGY, "--adversary", '{"type":"none","prob":0.1}'), "--adversary", "'prob'"),
     ],
-    ids=["topology-int", "topology-empty", "topology-old-key", "adversary-list",
+    ids=["topology-int", "topology-empty", "topology-old-key", "topology-str-field",
+         "topology-bool-field", "adversary-list",
          "substitution-prob", "erasure-prob", "adversary-unknown-key"],
 )
 def test_simulate_malformed_flags(capsys, flags, flag, field):
@@ -235,3 +255,4 @@ def test_table2_rows(capsys):
     assert flagged["reported_size"] == 8
     assert any("disagrees" in note for note in flagged["notes"])
     assert all(r["complete"] for r in rows)
+    assert all(r["nodes"] >= 0 for r in rows)

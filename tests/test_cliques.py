@@ -9,7 +9,7 @@ from cwlattice.cliques import (
     extract_code,
     max_clique,
 )
-from helpers import brute_max_clique_size, nx_max_clique_size
+from helpers import brute_max_clique_size, count_cliques_oracle, nx_max_clique_size
 
 
 def test_build_octahedron():
@@ -121,8 +121,8 @@ def test_count_small_values():
 def test_count_cap():
     g = build_graph(9, 7, 4)
     result = count_maximum_cliques(g, 4, cap=100)
-    assert result.capped
-    assert result.count > 100
+    assert result.capped and not result.complete
+    assert 100 < result.count <= 945  # a lower bound on the full count
 
 
 def test_count_trivial_sizes():
@@ -178,3 +178,58 @@ def test_sample_code_is_a_maximum_clique(code744):
     verts = [g.vertices.index(cw) for cw in code744.codewords]
     assert g.is_clique(verts)
     assert len(verts) == max_clique(g).size
+
+
+# (n, k, d, exact, clique size, number of cliques of that size)
+CHEAP_COUNT_ROWS = [
+    (8, 6, 4, False, 4, 105),
+    (8, 4, 4, False, 14, 30),
+    (9, 7, 4, False, 4, 945),
+    (9, 6, 6, False, 3, 280),
+    (8, 3, 4, False, 8, 840),
+    (8, 4, 4, True, 7, 3840),
+    (9, 3, 4, True, 7, 1080),
+    (10, 3, 4, True, 7, 3600),
+    (10, 5, 6, False, 6, 60480),
+]
+
+
+@pytest.mark.parametrize("n, k, d, exact, size, expected", CHEAP_COUNT_ROWS)
+def test_rooted_count_matches_ascending_enumeration(n, k, d, exact, size, expected):
+    g = build_graph(n, k, d, exact=exact)
+    result = count_maximum_cliques(g, size)
+    assert result.complete and not result.capped
+    assert result.count == count_cliques_oracle(g, size) == expected
+
+
+def test_rooted_count_matches_enumeration_below_the_maximum():
+    # V * c0 / s holds for every clique size, not only the maximum
+    g = build_graph(7, 3, 4)
+    for size in range(1, 8):
+        assert count_maximum_cliques(g, size).count == count_cliques_oracle(g, size), size
+
+
+@pytest.mark.parametrize("n, k, d, size", [(9, 4, 4, 18), (10, 3, 4, 13)])
+def test_max_clique_certifies_without_external_bound(n, k, d, size):
+    g = build_graph(n, k, d)
+    result = max_clique(g)
+    assert result.complete and result.size == size
+    assert g.is_clique(result.witnesses[0]) and len(result.witnesses[0]) == size
+    assert result.nodes > 0
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_count_nine_point_rows(k):
+    # (9,5,4) is the complement of (9,4,4): the same count
+    result = count_maximum_cliques(build_graph(9, k, 4), 18)
+    assert result.complete and not result.capped
+    assert result.count == 2520
+
+
+def test_zero_timeout_stops_before_any_expansion():
+    g = build_graph(11, 4, 4, exact=True)
+    searched = max_clique(g, timeout=0)
+    assert not searched.complete and searched.nodes == 1
+    counted = count_maximum_cliques(g, 5, timeout=0)
+    assert not counted.complete and not counted.capped
+    assert counted.count == 0 and counted.nodes == 1
