@@ -85,11 +85,21 @@ def johnson1_refined_feasible(n: int, k: int, delta: int, size: int) -> bool:
 def johnson1_refined(n: int, k: int, delta: int) -> int:
     """Largest size passing the refined feasibility test.
 
-    Scans upward until the first failure.  When no size up to C(n,k)
-    fails (which happens whenever Johnson bound 1 is inapplicable), the
-    trivial cap C(n,k) is returned.
+    Scans upward until the first failure and returns C(n,k) when no size
+    up to it fails.  No size can fail when Johnson bound 1 is
+    inapplicable, D = k^2 - kn + delta*n <= 0, so the scan is skipped.
+    With kN = na + b, n times the test's slack is
+
+        -D*N^2 + delta*n*N - b(n-b) >= k(n-k)N - b(n-b) >= 0:
+
+    the first step is delta*n <= k(n-k) applied to -delta*n*N(N-1); the
+    second holds as f(x) = (x mod n)(n - x mod n) = t(n-t), with t the
+    distance from x to the nearest multiple of n, is subadditive (t is,
+    and t(n-t) is concave in t on [0, n/2]), so b(n-b) = f(kN) <= N f(k).
     """
     cap = comb(n, k)
+    if johnson1(n, k, delta) is None:
+        return cap
     size = 1
     while size <= cap:
         if not johnson1_refined_feasible(n, k, delta, size):

@@ -72,8 +72,39 @@ def _parse_json(text: str, where: str) -> dict:
     return obj
 
 
+def _list_of(what: str, item_ok):
+    return f"a list of {what}", lambda v: isinstance(v, list) and all(item_ok(x) for x in v)
+
+
+_INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+# each document's top-level fields: what each must be, and the check for it
+DOCUMENT_FIELDS = {
+    "pool": {
+        "backend": ("'poly' or 'set'", lambda v: v in ("poly", "set")),
+        "p": _INT,
+        "n": _INT,
+        "constituents": _list_of(
+            "hex strings or coefficient lists", lambda c: isinstance(c, (str, list))
+        ),
+    },
+    "code": {
+        "n": _INT,
+        "d": ("an integer or null", lambda v: v is None or _INT[1](v)),
+        "codewords": _list_of("index lists", lambda c: isinstance(c, list)),
+    },
+    "lattice": {
+        "elements": ("a list", lambda v: isinstance(v, list)),
+        "covers": _list_of("[lower, upper] pairs", lambda c: isinstance(c, list) and len(c) == 2),
+        "mult": _list_of("rows", lambda r: isinstance(r, list)),
+    },
+}
+
+
 def _from_document(load, obj: dict, path: str, what: str):
     """load(obj); a missing or mistyped field is a schema error naming the file."""
+    for key, (wanted, ok) in DOCUMENT_FIELDS[what].items():
+        if key in obj and not ok(obj[key]):
+            raise SchemaError(f"{path}: bad {what} document: field {key!r} must be {wanted}")
     try:
         return load(obj)
     except KeyError as exc:
@@ -315,7 +346,8 @@ def cmd_simulate(args) -> int:
     adversary = _adversary_from_json(_parse_json(args.adversary or "{}", "--adversary"))
     symbol_map = saf.SymbolMap.default(code.n)
     stats = saf.run_experiment(
-        code, pool, symbol_map, spec, adversary, trials=args.trials, seed=args.seed
+        code, pool, symbol_map, spec, adversary, trials=args.trials, seed=args.seed,
+        keep_results=bool(args.csv),
     )
     if args.csv:
         saf.write_csv(stats, args.csv)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from cwlattice.code import ConstantWeightCode
 
 MAX_GROUND_SET = 24
-DEFAULT_MAX_VERTICES = 20000
+MAX_VERTICES = 20000
 DEFAULT_COUNT_CAP = 10 ** 6
 
 
@@ -68,22 +68,16 @@ class CompatibilityGraph:
         )
 
 
-def build_graph(
-    n: int,
-    k: int,
-    d: int,
-    exact: bool = False,
-    max_vertices: int = DEFAULT_MAX_VERTICES,
-) -> CompatibilityGraph:
+def build_graph(n: int, k: int, d: int, exact: bool = False) -> CompatibilityGraph:
     """Build the subset compatibility graph for the given parameters."""
     if not 1 <= k <= n <= MAX_GROUND_SET:
         raise ValueError(f"need 1 <= k <= n <= {MAX_GROUND_SET}, got k={k}, n={n}")
     if d % 2 or d < 2:
         raise ValueError(f"distance must be a positive even number, got {d}")
     vertices = tuple(itertools.combinations(range(n), k))
-    if len(vertices) > max_vertices:
+    if len(vertices) > MAX_VERTICES:
         raise ValueError(
-            f"graph would have {len(vertices)} vertices, over the limit {max_vertices}"
+            f"graph would have {len(vertices)} vertices, over the limit {MAX_VERTICES}"
         )
     masks = [sum(1 << i for i in cw) for cw in vertices]
     # symmetric distance of equal-size sets: 2 * (k - |intersection|)
@@ -127,24 +121,19 @@ def _bits(x: int):
         x ^= low
 
 
-def _greedy_cliques(graph: CompatibilityGraph) -> list[int]:
-    """Best greedy clique over a few deterministic vertex orders."""
-    V = len(graph)
-    orders = [
-        range(V),
-        sorted(range(V), key=lambda v: -graph.degree(v)),
-    ]
-    best: list[int] = []
-    for order in orders:
-        cand = (1 << V) - 1
-        cur = []
-        for v in order:
-            if cand >> v & 1:
-                cur.append(v)
-                cand &= graph.adjacency[v]
-        if len(cur) > len(best):
-            best = sorted(cur)
-    return best
+def _greedy_clique(graph: CompatibilityGraph) -> list[int]:
+    """Greedy clique in lexicographic order: add each vertex adjacent to all so far.
+
+    S_n makes every vertex degree equal, so ordering by degree instead
+    would give the same order and the same clique.
+    """
+    cand = (1 << len(graph)) - 1
+    clique = []
+    while cand:
+        v = (cand & -cand).bit_length() - 1
+        clique.append(v)
+        cand &= graph.adjacency[v]
+    return clique
 
 
 def _colour_classes(cands: int, others: list[int], kmin: int) -> tuple[list[int], list[int]]:
@@ -175,30 +164,26 @@ def _colour_classes(cands: int, others: list[int], kmin: int) -> tuple[list[int]
 
 def max_clique(
     graph: CompatibilityGraph,
-    lower_bound: int = 0,
     upper_bound: int | None = None,
     timeout: float | None = None,
 ) -> CliqueResult:
     """Exact maximum clique size with one witness.
 
-    ``lower_bound`` only tightens pruning (use it when a clique of that
-    size is already known to exist elsewhere).  ``upper_bound`` lets the
-    search stop as soon as a clique meeting a proven cap is found.  On
-    timeout the best clique so far is returned flagged incomplete.
+    ``upper_bound`` lets the search stop as soon as a clique meeting a
+    proven cap is found.  On timeout the best clique so far is returned
+    flagged incomplete.
     """
     adjacency = graph.adjacency
     V = len(adjacency)
     started = time.monotonic()
     deadline = started + timeout if timeout is not None else None
-    best_verts = _greedy_cliques(graph)
-    state = {"best": max(len(best_verts), lower_bound), "calls": 0, "timed_out": False}
+    best_verts = _greedy_clique(graph)
+    state = {"best": len(best_verts), "calls": 0, "timed_out": False}
 
     def _result(complete: bool) -> CliqueResult:
-        # a witness is only reported when it actually has the reported size
-        have_witness = best_verts and len(best_verts) == state["best"]
         return CliqueResult(
             size=state["best"],
-            witnesses=(tuple(best_verts),) if have_witness else (),
+            witnesses=(tuple(best_verts),) if best_verts else (),
             complete=complete,
             elapsed=time.monotonic() - started,
             nodes=state["calls"],

@@ -1,13 +1,16 @@
 """Constant weight codes as sets of k-subsets of an n-element ground set.
 
 The metric is the symmetric distance |A Δ B|, which is even between
-equal-size sets.  Decoding is exhaustive minimum distance decoding;
+equal-size sets.  Codes keep each codeword as a bitmask too, and the
+minimum distance and the decoder take |A Δ B| as the popcount of the
+XOR of two masks.  Decoding is exhaustive minimum distance decoding;
 ties are surfaced as an ambiguous result rather than broken silently,
 since a tie is a detected error.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -16,6 +19,11 @@ from typing import Iterable, Sequence
 def symmetric_distance(a: Iterable[int], b: Iterable[int]) -> int:
     """Cardinality of the symmetric difference of two finite sets."""
     return len(set(a) ^ set(b))
+
+
+def _mask(indices: Iterable[int]) -> int:
+    """The index set as a bitmask: bit i is set when i is in the set."""
+    return sum(1 << i for i in indices)
 
 
 def validated_indices(indices: Iterable[int], n: int) -> tuple[int, ...]:
@@ -32,7 +40,7 @@ def validated_indices(indices: Iterable[int], n: int) -> tuple[int, ...]:
 
 
 class ConstantWeightCode:
-    """An (n, k, N, d) catalog of k-subset codewords with cached minimum distance."""
+    """An (n, k, N, d) catalog of k-subset codewords, their bitmasks and cached d_min."""
 
     def __init__(self, n: int, codewords: Sequence[Iterable[int]]):
         if n < 1:
@@ -48,14 +56,10 @@ class ConstantWeightCode:
         self.n = n
         self.k = k
         self.codewords = tuple(cws)
-        self._d_min = None
-        if len(cws) >= 2:
-            sets = [set(cw) for cw in cws]
-            d = 2 * k
-            for i in range(len(sets)):
-                for j in range(i + 1, len(sets)):
-                    d = min(d, len(sets[i] ^ sets[j]))
-            self._d_min = d
+        self.masks = tuple(_mask(cw) for cw in cws)
+        self._d_min = min(
+            ((a ^ b).bit_count() for a, b in itertools.combinations(self.masks, 2)), default=None
+        )
 
     def __len__(self) -> int:
         return len(self.codewords)
@@ -124,16 +128,11 @@ def decode(received: Iterable[int], code: ConstantWeightCode) -> DecodeResult:
     rec = set(received)
     if rec and (min(rec) < 0 or max(rec) >= code.n):
         raise ValueError(f"received indices must lie in 0..{code.n - 1}")
-    best = None
-    winners: list[tuple[int, ...]] = []
-    for cw in code.codewords:
-        d = len(rec ^ set(cw))
-        if best is None or d < best:
-            best = d
-            winners = [cw]
-        elif d == best:
-            winners.append(cw)
-    return DecodeResult(distance=best, candidates=tuple(winners))
+    mask = _mask(rec)
+    distances = [(mask ^ m).bit_count() for m in code.masks]
+    best = min(distances)
+    winners = tuple(cw for cw, d in zip(code.codewords, distances) if d == best)
+    return DecodeResult(distance=best, candidates=winners)
 
 
 def guaranteed_correctable(code: ConstantWeightCode, t_errors: int, e_erasures: int) -> bool:

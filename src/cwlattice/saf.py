@@ -10,9 +10,12 @@ sink does the same, pads missing positions with zeros, inverts the
 symbol map (unknown nonzero symbols count as erasures) and hands the
 recovered index set to the minimum distance decoder.
 
-An adversary may substitute symbols on edges or erase whole edges.
-Substituting a symbol by one already present in the packet collapses
-at the dedup step, which is exactly how erasures arise in this scheme.
+An adversary may substitute symbols on edges or erase whole edges:
+each model's ``corrupt(edge, packet, q, rng)`` returns the packet that
+arrives on an edge, or None when it is erased, and ``apply_adversary``
+calls it on a node's in-edges in sorted order.  Substituting a symbol
+by one already present in the packet collapses at the dedup step,
+which is exactly how erasures arise in this scheme.
 
 All randomness is seeded; a trial is a pure function of its seeds.
 """
@@ -41,21 +44,19 @@ class NetworkTopology:
     max_indegree: int
 
     def __post_init__(self):
-        layer_of = self.layer_of_node()
-        ins: dict[int, list[Edge]] = {}
+        layer_of = [layer for layer, size in enumerate(self.layer_sizes) for _ in range(size)]
+        ins: list[list[Edge]] = [[] for _ in layer_of]
         for u, v in self.edges:
             if layer_of[u] >= layer_of[v]:
                 raise ValueError(f"edge ({u}, {v}) does not go to a later layer")
-            ins.setdefault(v, []).append((u, v))
+            ins[v].append((u, v))
         for v in range(1, self.node_count):
-            indeg = len(ins.get(v, ()))
+            indeg = len(ins[v])
             if not 1 <= indeg <= self.max_indegree:
                 raise ValueError(
                     f"node {v} has in-degree {indeg}, need 1..{self.max_indegree}"
                 )
-        for edges in ins.values():
-            edges.sort()
-        object.__setattr__(self, "_in_edges", ins)
+        object.__setattr__(self, "_in_edges", tuple(tuple(sorted(e)) for e in ins))
 
     @property
     def node_count(self) -> int:
@@ -69,21 +70,9 @@ class NetworkTopology:
     def sink(self) -> int:
         return self.node_count - 1
 
-    def layer_of_node(self) -> list[int]:
-        out = []
-        for layer, size in enumerate(self.layer_sizes):
-            out.extend([layer] * size)
-        return out
-
-    def in_edges(self, v: int) -> list[Edge]:
-        return list(self._in_edges.get(v, ()))
-
-    def to_json(self) -> dict:
-        return {
-            "layer_sizes": list(self.layer_sizes),
-            "edges": [list(e) for e in self.edges],
-            "max_indegree": self.max_indegree,
-        }
+    def in_edges(self, v: int) -> tuple[Edge, ...]:
+        """The edges into node v, sorted."""
+        return self._in_edges[v]
 
 
 def random_dag(
@@ -207,17 +196,11 @@ def sink_recover(incoming: Sequence[Packet], k: int, symbol_map: SymbolMap) -> R
     they cost the decoder one erasure each.
     """
     symbols = _first_distinct(incoming, k)
-    padded = k - len(symbols)
-    indices = []
-    invalid = 0
-    for s in symbols:
-        i = symbol_map.decode(s)
-        if i is None:
-            invalid += 1
-        else:
-            indices.append(i)
+    indices = [i for i in map(symbol_map.decode, symbols) if i is not None]
     return RecoveredSet(
-        indices=tuple(sorted(indices)), invalid_symbols=invalid, padded_zeros=padded
+        indices=tuple(sorted(indices)),
+        invalid_symbols=len(symbols) - len(indices),
+        padded_zeros=k - len(symbols),
     )
 
 
@@ -233,6 +216,9 @@ def _check_prob(prob: float) -> None:
 class NoAdversary:
     kind = "none"
 
+    def corrupt(self, edge: Edge, packet: Packet, q: int, rng: random.Random) -> Packet | None:
+        return packet
+
 
 @dataclass(frozen=True)
 class RandomSubstitution:
@@ -245,6 +231,16 @@ class RandomSubstitution:
 
     def __post_init__(self):
         _check_prob(self.prob)
+
+    def corrupt(self, edge: Edge, packet: Packet, q: int, rng: random.Random) -> Packet | None:
+        out = []
+        for s in packet:
+            if rng.random() < self.prob:
+                # uniform over the q - 2 nonzero symbols other than s
+                x = rng.randrange(1, q - 1)
+                s = x + (x >= s)
+            out.append(s)
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -259,6 +255,12 @@ class TargetedSubstitution:
             if new == 0:
                 raise ValueError("substitutions may not forge the zero symbol")
 
+    def corrupt(self, edge: Edge, packet: Packet, q: int, rng: random.Random) -> Packet | None:
+        for rule_edge, old, new in self.rules:
+            if rule_edge == edge:
+                packet = tuple(new if s == old else s for s in packet)
+        return packet
+
 
 @dataclass(frozen=True)
 class EdgeErasure:
@@ -272,6 +274,11 @@ class EdgeErasure:
     def __post_init__(self):
         _check_prob(self.prob)
 
+    def corrupt(self, edge: Edge, packet: Packet, q: int, rng: random.Random) -> Packet | None:
+        if edge in self.edges or (self.prob and rng.random() < self.prob):
+            return None
+        return packet
+
 
 Adversary = NoAdversary | RandomSubstitution | TargetedSubstitution | EdgeErasure
 
@@ -282,39 +289,13 @@ def apply_adversary(
     q: int,
     rng: random.Random,
 ) -> dict[Edge, Packet]:
-    """Corrupt the packets in flight; erased edges vanish from the dict."""
-    if isinstance(model, NoAdversary):
-        return dict(flight)
+    """Corrupt the packets in flight in edge order; erased edges vanish from the dict."""
     out: dict[Edge, Packet] = {}
-    if isinstance(model, RandomSubstitution):
-        for edge in sorted(flight):
-            packet = []
-            for s in flight[edge]:
-                if rng.random() < model.prob:
-                    # uniform over the q - 2 nonzero symbols other than s
-                    x = rng.randrange(1, q - 1)
-                    s = x + (x >= s)
-                packet.append(s)
-            out[edge] = tuple(packet)
-        return out
-    if isinstance(model, TargetedSubstitution):
-        for edge in sorted(flight):
-            packet = list(flight[edge])
-            for rule_edge, old, new in model.rules:
-                if rule_edge == edge:
-                    packet = [new if s == old else s for s in packet]
-            out[edge] = tuple(packet)
-        return out
-    if isinstance(model, EdgeErasure):
-        doomed = set(model.edges)
-        for edge in sorted(flight):
-            if edge in doomed:
-                continue
-            if model.prob and rng.random() < model.prob:
-                continue
-            out[edge] = flight[edge]
-        return out
-    raise TypeError(f"unknown adversary model {model!r}")
+    for edge in sorted(flight):
+        packet = model.corrupt(edge, flight[edge], q, rng)
+        if packet is not None:
+            out[edge] = packet
+    return out
 
 
 def _adversary_rng(model: Adversary, trial_seed: int) -> random.Random:
@@ -354,10 +335,9 @@ def run_trial(
     trial_seed: int = 0,
 ) -> TrialResult:
     """One full source -> network -> sink -> decoder pass."""
-    if symbol_map.q <= code.n:
-        raise ValueError("symbol field must satisfy q > n")
     if symbol_map.n < code.n:
-        raise ValueError("symbol map does not cover the pool")
+        # a SymbolMap has q > its own n, so this check also gives q > n
+        raise ValueError("symbol map must cover the pool, so that q > n")
     if pool is not None and getattr(pool, "n", code.n) != code.n:
         raise ValueError("pool size differs from the code's ground set")
     transmitted = code.codewords[message_index]
@@ -365,24 +345,21 @@ def run_trial(
     rng = _adversary_rng(adversary, trial_seed)
 
     emitted: dict[int, Packet] = {topology.source: source_encode(transmitted, symbol_map)}
-    sink_packets: list[Packet] = []
+    packets: list[Packet] = []
+    # the last node is the sink, so the loop ends holding what reached it
     for v in range(1, topology.node_count):
         flight = {
             (u, w): emitted[u]
             for (u, w) in topology.in_edges(v)
             if u in emitted
         }
-        flight = apply_adversary(flight, adversary, symbol_map.q, rng)
-        packets = [flight[e] for e in sorted(flight)]
-        if v == topology.sink:
-            sink_packets = packets
-            break
-        if packets:
+        packets = list(apply_adversary(flight, adversary, symbol_map.q, rng).values())
+        if packets and v != topology.sink:
             forwarded = node_process(packets, k)
             if forwarded is not None:
                 emitted[v] = forwarded
 
-    if not sink_packets:
+    if not packets:
         return TrialResult(
             transmitted=transmitted,
             outcome=Outcome.NODE_FAILURE,
@@ -393,25 +370,19 @@ def run_trial(
             ties=0,
         )
 
-    recovered = sink_recover(sink_packets, k, symbol_map)
-    received = set(recovered.indices)
-    truth = set(transmitted)
-    errors = len(received - truth)
-    erasures = len(truth - received) - errors
+    recovered = sink_recover(packets, k, symbol_map)
+    errors = len(set(recovered.indices) - set(transmitted))
+    # every one of the k positions not recovered is a padded zero or an invalid symbol
+    erasures = k - len(recovered.indices)
 
     result = decode(recovered.indices, code)
-    if result.ambiguous:
+    decoded = result.codeword  # None on a tie
+    if decoded is None:
         outcome = Outcome.DETECTED
-        decoded = None
-        element = None
-    elif result.codeword == transmitted:
+    elif decoded == transmitted:
         outcome = Outcome.SUCCESS
-        decoded = result.codeword
-        element = pool.compose(decoded) if pool is not None else None
     else:
         outcome = Outcome.WRONG
-        decoded = result.codeword
-        element = pool.compose(decoded) if pool is not None else None
     return TrialResult(
         transmitted=transmitted,
         outcome=outcome,
@@ -420,7 +391,7 @@ def run_trial(
         received=recovered.indices,
         decoded=decoded,
         ties=len(result.candidates),
-        decoded_element=element,
+        decoded_element=None if decoded is None or pool is None else pool.compose(decoded),
     )
 
 

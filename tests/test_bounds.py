@@ -78,6 +78,22 @@ def test_johnson1_refined_search():
     assert johnson1_refined(7, 5, 1) == comb(7, 5)
 
 
+def test_johnson1_refined_shortcut_matches_the_scan():
+    # where Johnson bound 1 is inapplicable, the scan would find no failing size
+    triples = [
+        (n, k, delta)
+        for n in range(1, 17)
+        for k in range(1, n + 1)
+        for delta in range(1, min(k, n - k) + 1)
+        if johnson1(n, k, delta) is None
+    ]
+    assert len(triples) == 178
+    for n, k, delta in triples:
+        cap = comb(n, k)
+        assert all(johnson1_refined_feasible(n, k, delta, N) for N in range(1, cap + 1)), (n, k)
+        assert johnson1_refined(n, k, delta) == cap
+
+
 def test_johnson1_refined_never_exceeds_johnson1():
     for n in range(2, 13):
         for k in range(1, n + 1):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cwlattice import saf
 from cwlattice.cli import main
 from cwlattice.code import ConstantWeightCode
 from cwlattice.data import sample_code, sample_pool
@@ -70,6 +71,26 @@ def test_decode_code_file_missing_field(tmp_path, capsys):
     rc, _, err = run(capsys, "decode", "--code", str(path), "--received", "1,3,6")
     assert rc == 2
     assert err == f"error: {path}: bad code document: missing field 'codewords'\n"
+
+
+@pytest.mark.parametrize(
+    "command, flag, text, what, field",
+    [
+        ("decode", "--code", '{"n":"7","codewords":[[0,1]]}', "code", "'n'"),
+        ("pool", "--file", '{"backend":"x"}', "pool", "'backend'"),
+        ("pool", "--file", '{"backend":"poly","p":2,"constituents":[7]}', "pool", "'constituents'"),
+        ("lattice", "--file", '{"elements":["0","1"],"covers":[["0"]]}', "lattice", "'covers'"),
+    ],
+    ids=["code-str-n", "pool-unknown-backend", "pool-int-constituent", "lattice-short-cover"],
+)
+def test_document_field_of_wrong_type(tmp_path, capsys, command, flag, text, what, field):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    extra = ["--received", "0,1"] if command == "decode" else []
+    rc, _, err = run(capsys, command, flag, str(path), *extra)
+    assert rc == 2
+    assert err.startswith(f"error: {path}: bad {what} document: field {field} must be ")
+    assert err.count("\n") == 1
 
 
 def test_decode_erasure_case(capsys):
@@ -187,6 +208,26 @@ def test_simulate_csv(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 11
     assert all(line.endswith(",1") for line in lines[1:])  # clean channel
+
+
+@pytest.mark.parametrize("write_csv", [False, True])
+def test_simulate_keeps_results_only_for_csv(tmp_path, capsys, monkeypatch, write_csv):
+    kept = []
+    real = saf.run_experiment
+
+    def spy(*args, **kwargs):
+        stats = real(*args, **kwargs)
+        kept.append(len(stats.results))
+        return stats
+
+    monkeypatch.setattr(saf, "run_experiment", spy)
+    extra = ["--csv", str(tmp_path / "out.csv")] if write_csv else []
+    rc, _, _ = run(
+        capsys, "simulate", "--sample", "--topology", '{"layers":2,"width":1}',
+        "--trials", "5", *extra,
+    )
+    assert rc == 0
+    assert kept == [5 if write_csv else 0]
 
 
 def test_simulate_usage_error(capsys):

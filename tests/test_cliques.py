@@ -30,7 +30,7 @@ def test_build_validation():
     with pytest.raises(ValueError):
         build_graph(8, 4, 3)
     with pytest.raises(ValueError):
-        build_graph(20, 10, 2, max_vertices=100)
+        build_graph(20, 10, 2)  # C(20, 10) vertices, over the limit
 
 
 def test_max_clique_sample_parameters(code744):
@@ -47,16 +47,6 @@ def test_max_clique_early_stop_via_upper_bound():
     g = build_graph(7, 4, 4)
     result = max_clique(g, upper_bound=7)
     assert result.size == 7 and result.complete
-
-
-def test_max_clique_external_lower_bound_prunes_without_fake_witness():
-    g = build_graph(7, 4, 4)
-    result = max_clique(g, lower_bound=9)  # above the true maximum of 7
-    assert result.size == 9
-    assert result.witnesses == ()
-    tight = max_clique(g, lower_bound=5)
-    assert tight.size == 7
-    assert tight.witnesses and len(tight.witnesses[0]) == 7
 
 
 def test_max_clique_agrees_with_oracles_on_small_graphs():

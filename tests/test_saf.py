@@ -205,6 +205,27 @@ def test_trial_total_erasure_is_node_failure(code744, pool744):
     assert result.outcome == Outcome.NODE_FAILURE
 
 
+@pytest.mark.parametrize(
+    "adversary, counts, t_sum, e_sum",
+    [
+        (NoAdversary(), (500, 0, 0, 0), 0, 0),
+        (RandomSubstitution(0.1, seed=5), (361, 119, 20, 0), 141, 120),
+        (EdgeErasure(0.2, seed=5), (487, 0, 0, 13), 0, 52),
+        (TargetedSubstitution(rules=(((0, 1), 1, 2), ((0, 2), 3, 5))), (432, 68, 0, 0), 68, 0),
+    ],
+    ids=["none", "random-substitution", "edge-erasure", "targeted-substitution"],
+)
+def test_seeded_experiment_results_are_pinned(code744, pool744, adversary, counts, t_sum, e_sum):
+    # every random draw of a trial is seeded: these numbers must not drift
+    stats = run_experiment(
+        code744, pool744, SymbolMap.default(7), TopologySpec(6, 4, 3, 0.5, seed=3),
+        adversary, trials=500, seed=7,
+    )
+    assert tuple(stats.counts.get(o, 0) for o in Outcome) == counts
+    assert sum(r.errors_at_sink for r in stats.results) == t_sum
+    assert sum(r.erasures_at_sink for r in stats.results) == e_sum
+
+
 def test_trial_determinism(code744, pool744):
     smap = SymbolMap.default(7)
     adversary = RandomSubstitution(prob=0.3, seed=9)
