@@ -8,12 +8,14 @@
     cwlattice simulate  (--code ... --pool ... | --sample) --topology JSON --adversary JSON --trials T [--csv out.csv]
     cwlattice table2    [--count] [--cap N] [--timeout S] [--json]
 
-Exit codes: 0 success, 1 domain errors, 2 usage/schema errors.
+Exit codes: 0 success, 1 errors computing on inputs that loaded, 2 usage
+errors and JSON inputs (files, --topology, --adversary) that fail to load.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -51,66 +53,104 @@ class SchemaError(ValueError):
     pass
 
 
-def _load_json_file(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return _parse_json(fh.read(), path)
-    except FileNotFoundError:
-        raise SchemaError(f"{path}: file not found") from None
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _parse_json(text: str, where: str) -> dict:
-    """The JSON object in text; anything else is a schema error naming where."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(
-            f"{where}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected a JSON object, got {type(obj).__name__}")
-    return obj
+def _is_str(v) -> bool:
+    return isinstance(v, str)
 
 
-def _list_of(what: str, item_ok):
-    return f"a list of {what}", lambda v: isinstance(v, list) and all(item_ok(x) for x in v)
+def _list(item_ok, size=None):
+    """A check that v is a list, of the given size if any, whose items pass item_ok."""
+    return lambda v: isinstance(v, list) and size in (None, len(v)) and all(map(item_ok, v))
 
 
-_INT = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
-# each document's top-level fields: what each must be, and the check for it
-DOCUMENT_FIELDS = {
+def _selector(variants: dict) -> tuple:
+    """A field naming its document's variant; variants gives each one's other fields."""
+    return " or ".join(map(repr, variants)), lambda v: _is_str(v) and v in variants, variants
+
+
+def _rule(r) -> bool:
+    return isinstance(r, dict) and r.keys() == {"edge", "old", "new"} and (
+        _PAIR(r["edge"]) and _is_int(r["old"]) and _is_int(r["new"])
+    )
+
+
+# the models of saf.Adversary by their "type" name; each one's dataclass fields are its other fields
+ADVERSARIES = {model.kind: model for model in saf.Adversary.__args__}
+_INT = ("an integer", _is_int)
+_NUMBER = ("a number", lambda v: _is_int(v) or isinstance(v, float))
+_INTS = _list(_is_int)
+_PAIR = _list(_is_int, 2)
+# every JSON input the program reads: what each field must be, down to list items;
+# a field not listed, or not taken by the variant its document names, is unknown
+SCHEMAS = {
     "pool": {
-        "backend": ("'poly' or 'set'", lambda v: v in ("poly", "set")),
+        "backend": _selector({"poly": ("p", "constituents"), "set": ("n",)}),
         "p": _INT,
         "n": _INT,
-        "constituents": _list_of(
-            "hex strings or coefficient lists", lambda c: isinstance(c, (str, list))
+        "constituents": (
+            "a list of hex strings or integer lists", _list(lambda c: _is_str(c) or _INTS(c))
         ),
     },
     "code": {
         "n": _INT,
-        "d": ("an integer or null", lambda v: v is None or _INT[1](v)),
-        "codewords": _list_of("index lists", lambda c: isinstance(c, list)),
+        "k": _INT,
+        "d": ("an integer or null", lambda v: v is None or _is_int(v)),
+        "codewords": ("a list of integer lists", _list(_INTS)),
     },
     "lattice": {
-        "elements": ("a list", lambda v: isinstance(v, list)),
-        "covers": _list_of("[lower, upper] pairs", lambda c: isinstance(c, list) and len(c) == 2),
-        "mult": _list_of("rows", lambda r: isinstance(r, list)),
+        "elements": ("a list of strings", _list(_is_str)),
+        "covers": ("a list of [lower, upper] string pairs", _list(_list(_is_str, 2))),
+        "mult": ("a list of rows of strings", _list(_list(_is_str))),
+    },
+    "topology": {"layers": _INT, "width": _INT, "indegree": _INT, "density": _NUMBER, "seed": _INT},
+    "adversary": {
+        "type": _selector({k: [f.name for f in dataclasses.fields(m)] for k, m in ADVERSARIES.items()}),
+        "prob": _NUMBER,
+        "seed": _INT,
+        "rules": ('a list of {"edge": [u, v], "old": s, "new": t} rules', _list(_rule)),
+        "edges": ("a list of [u, v] integer pairs", _list(_PAIR)),
     },
 }
 
 
-def _from_document(load, obj: dict, path: str, what: str):
-    """load(obj); a missing or mistyped field is a schema error naming the file."""
-    for key, (wanted, ok) in DOCUMENT_FIELDS[what].items():
-        if key in obj and not ok(obj[key]):
-            raise SchemaError(f"{path}: bad {what} document: field {key!r} must be {wanted}")
+def _load(kind: str, build, where: str, text: str | None = None):
+    """build(obj) for the JSON object in text, or in the file named where; any
+    failure, a field unknown to SCHEMAS[kind] or failing its check, a field
+    build needs but obj lacks, or a ValueError from build, is a SchemaError."""
     try:
-        return load(obj)
+        if text is None:
+            with open(where, encoding="utf-8") as fh:
+                text = fh.read()
+        obj = json.loads(text)
+    except OSError as exc:
+        raise SchemaError(f"{where}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise SchemaError(
+            f"{where}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
+    except (RecursionError, ValueError) as exc:  # too deep, not UTF-8, huge integer, NUL in path
+        raise SchemaError(f"{where}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    bad = f"{where}: bad {kind} document"
+    for key, value in obj.items():
+        if key not in SCHEMAS[kind]:
+            raise SchemaError(f"{bad}: unknown field {key!r}")
+        wanted, ok, *variants = SCHEMAS[kind][key]
+        if not ok(value):
+            raise SchemaError(f"{bad}: field {key!r} must be {wanted}")
+        extra = sorted(obj.keys() - {key, *variants[0][value]}) if variants else []
+        if extra:
+            raise SchemaError(f"{bad}: unknown field {extra[0]!r} for {key} {value!r}")
+    try:
+        return build(obj)
     except KeyError as exc:
-        raise SchemaError(f"{path}: bad {what} document: missing field {exc}") from None
-    except TypeError as exc:
-        raise SchemaError(f"{path}: bad {what} document: {exc}") from None
+        raise SchemaError(f"{bad}: missing field {exc}") from None
+    except ValueError as exc:
+        raise SchemaError(f"{bad}: {exc}") from None
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
@@ -140,7 +180,7 @@ def cmd_pool(args) -> int:
     if args.sample:
         pool = data.sample_pool()
     else:
-        pool = _from_document(pool_from_json, _load_json_file(args.file), args.file, "pool")
+        pool = _load("pool", pool_from_json, args.file)
     result = {"pool": pool.to_json()}
     lines = [f"pool: backend={pool.backend} n={pool.n}"]
     if pool.backend == "poly":
@@ -225,9 +265,7 @@ def cmd_decode(args) -> int:
     if args.sample_code:
         code = data.sample_code()
     else:
-        code = _from_document(
-            ConstantWeightCode.from_json, _load_json_file(args.code), args.code, "code"
-        )
+        code = _load("code", ConstantWeightCode.from_json, args.code)
     received = _parse_indices(args.received)
     result = decode(received, code)
     payload = {
@@ -247,9 +285,13 @@ def cmd_decode(args) -> int:
     return 0
 
 
+def _lattice(obj: dict) -> tuple[FiniteLattice, MultiplicationTable | None]:
+    lat = FiniteLattice.from_json(obj)
+    return lat, (MultiplicationTable(lat, obj["mult"]) if "mult" in obj else None)
+
+
 def cmd_lattice(args) -> int:
-    obj = _load_json_file(args.file)
-    lat = _from_document(FiniteLattice.from_json, obj, args.file, "lattice")
+    lat, table = _load("lattice", _lattice, args.file)
     payload = {
         "elements": list(lat.elements),
         "top": lat.top,
@@ -272,8 +314,7 @@ def cmd_lattice(args) -> int:
         decs = lat.irreducible_decompositions(args.element)
         payload["decompositions"] = [sorted(s) for s in decs]
         lines.append(f"decompositions of {args.element}: {[sorted(s) for s in decs]}")
-    if "mult" in obj:
-        table = MultiplicationTable(lat, obj["mult"])
+    if table is not None:
         payload["prime"] = {e: check_prime(lat, table, e) for e in lat.elements}
         payload["primary"] = {e: check_primary(lat, table, e) for e in lat.elements}
         primes = [e for e, ok in payload["prime"].items() if ok]
@@ -284,30 +325,19 @@ def cmd_lattice(args) -> int:
     return 0
 
 
-# the keys --topology accepts and their types; an unknown key is an error, never ignored
-TOPOLOGY_FIELDS = {"layers": int, "width": int, "indegree": int, "density": float, "seed": int}
-# adversary models by their "type" name; the other keys are the model's fields
-ADVERSARIES = {
-    model.kind: model
-    for model in (saf.NoAdversary, saf.RandomSubstitution, saf.TargetedSubstitution, saf.EdgeErasure)
-}
-
-
-def _adversary_from_json(obj: dict) -> saf.Adversary:
-    fields = dict(obj)
-    kind = fields.pop("type", "none")
-    if not isinstance(kind, str) or kind not in ADVERSARIES:
-        raise SchemaError(f"--adversary: unknown adversary type {kind!r}")
-    try:
-        if "rules" in fields:
-            fields["rules"] = tuple((tuple(r["edge"]), r["old"], r["new"]) for r in fields["rules"])
-        if "edges" in fields:
-            fields["edges"] = tuple(tuple(e) for e in fields["edges"])
-        return ADVERSARIES[kind](**fields)
-    except KeyError as exc:
-        raise SchemaError(f"--adversary: missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"--adversary: {exc}") from None
+def _adversary(obj: dict) -> saf.Adversary:
+    """The model obj's type names; a dataclass field with no default that obj lacks is missing."""
+    model = ADVERSARIES[obj["type"]]
+    fields = {
+        f.name: obj[f.name]
+        for f in dataclasses.fields(model)
+        if f.name in obj or f.default is dataclasses.MISSING
+    }
+    if "rules" in fields:
+        fields["rules"] = tuple((tuple(r["edge"]), r["old"], r["new"]) for r in fields["rules"])
+    if "edges" in fields:
+        fields["edges"] = tuple(tuple(e) for e in fields["edges"])
+    return model(**fields)
 
 
 def cmd_simulate(args) -> int:
@@ -317,33 +347,16 @@ def cmd_simulate(args) -> int:
     else:
         if not args.code or not args.pool:
             raise SchemaError("simulate needs --code and --pool (or --sample)")
-        code = _from_document(
-            ConstantWeightCode.from_json, _load_json_file(args.code), args.code, "code"
-        )
-        pool = _from_document(pool_from_json, _load_json_file(args.pool), args.pool, "pool")
-    topo_obj = _parse_json(args.topology, "--topology")
-    unknown = sorted(set(topo_obj) - set(TOPOLOGY_FIELDS))
-    if unknown:
-        raise SchemaError(f"--topology: unknown field {unknown[0]!r}")
-    for key, value in topo_obj.items():
-        kind = TOPOLOGY_FIELDS[key]
-        # JSON true/false are not numbers; an integer is a valid float
-        if isinstance(value, bool) or not isinstance(value, (int, kind)):
-            raise SchemaError(
-                f"--topology: field {key!r} must be "
-                f"{'a number' if kind is float else 'an integer'}, got {type(value).__name__}"
-            )
-    try:
-        spec = saf.TopologySpec(
-            layers=topo_obj["layers"],
-            width=topo_obj["width"],
-            max_indegree=topo_obj.get("indegree", 3),
-            edge_density=topo_obj.get("density", 0.5),
-            seed=topo_obj.get("seed", args.seed),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"--topology: missing field {exc}") from None
-    adversary = _adversary_from_json(_parse_json(args.adversary or "{}", "--adversary"))
+        code = _load("code", ConstantWeightCode.from_json, args.code)
+        pool = _load("pool", pool_from_json, args.pool)
+    spec = _load("topology", lambda obj: saf.TopologySpec(
+        layers=obj["layers"],
+        width=obj["width"],
+        max_indegree=obj.get("indegree", 3),
+        edge_density=obj.get("density", 0.5),
+        seed=obj.get("seed", args.seed),
+    ), "--topology", args.topology)
+    adversary = _load("adversary", _adversary, "--adversary", args.adversary)
     symbol_map = saf.SymbolMap.default(code.n)
     stats = saf.run_experiment(
         code, pool, symbol_map, spec, adversary, trials=args.trials, seed=args.seed,
@@ -417,6 +430,13 @@ def cmd_table2(args) -> int:
     return 0
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cwlattice",
@@ -448,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact", action="store_true",
                    help="adjacency at distance exactly d instead of at least d")
     p.add_argument("--count", action="store_true", help="also count maximum cliques")
-    p.add_argument("--cap", type=int, default=cliques.DEFAULT_COUNT_CAP)
+    p.add_argument("--cap", type=_positive, default=cliques.DEFAULT_COUNT_CAP)
     p.add_argument("--timeout", type=float, default=None, help="seconds per search")
     _common_output(p)
     p.set_defaults(func=cmd_search)
@@ -478,16 +498,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use the bundled pool and (7,4,4) code")
     p.add_argument("--topology", required=True,
                    help='JSON, e.g. {"layers":4,"width":3,"indegree":3,"density":0.5,"seed":1}')
-    p.add_argument("--adversary", default="",
+    p.add_argument("--adversary", default='{"type":"none"}',
                    help='JSON, e.g. {"type":"random_substitution","prob":0.05}')
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive, default=100)
     p.add_argument("--csv", help="write per-trial rows to this CSV file")
     _common_output(p)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("table2", help="run the bundled optimal-code parameter sweep")
     p.add_argument("--count", action="store_true", help="also count maximum cliques")
-    p.add_argument("--cap", type=int, default=cliques.DEFAULT_COUNT_CAP)
+    p.add_argument("--cap", type=_positive, default=cliques.DEFAULT_COUNT_CAP)
     p.add_argument("--timeout", type=float, default=120.0, help="seconds per row")
     _common_output(p)
     p.set_defaults(func=cmd_table2)

@@ -94,11 +94,11 @@ class ConstantWeightCode:
     @classmethod
     def from_json(cls, obj: dict) -> "ConstantWeightCode":
         code = cls(obj["n"], obj["codewords"])
-        if "d" in obj and obj["d"] is not None and code.min_distance != obj["d"]:
-            raise ValueError(
-                f"catalog claims d={obj['d']} but the codewords have "
-                f"d={code.min_distance}"
-            )
+        for key, actual in (("k", code.k), ("d", code._d_min)):
+            if obj.get(key) is not None and obj[key] != actual:
+                raise ValueError(
+                    f"catalog claims {key}={obj[key]} but the codewords have {key}={actual}"
+                )
         return code
 
 

@@ -109,11 +109,6 @@ class FiniteLattice:
                 f"{kind} bound; the order is not a lattice"
             ) from None
 
-    @classmethod
-    def from_order(cls, elements: Sequence[str], leq_pairs: Iterable[tuple[str, str]]) -> "FiniteLattice":
-        """Build from an arbitrary set of order pairs (redundant pairs allowed)."""
-        return cls(elements, [(a, b) for a, b in leq_pairs if a != b])
-
     # order primitives -------------------------------------------------
 
     def __len__(self) -> int:
@@ -135,13 +130,6 @@ class FiniteLattice:
 
     def join(self, a: str, b: str) -> str:
         return self.elements[self._join[self._idx(a)][self._idx(b)]]
-
-    def upper_covers(self, a: str) -> tuple[str, ...]:
-        return tuple(self.elements[j] for j in _bits(self._cover_up[self._idx(a)]))
-
-    def lower_covers(self, a: str) -> tuple[str, ...]:
-        j = self._idx(a)
-        return tuple(self.elements[i] for i in _bits(self._down[j]) if self._cover_up[i] >> j & 1)
 
     def covers(self, lower: str, upper: str) -> bool:
         return bool(self._cover_up[self._idx(lower)] >> self._idx(upper) & 1)

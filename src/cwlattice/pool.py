@@ -152,7 +152,7 @@ class SubsetPool:
 
 def pool_from_json(obj: dict):
     """Dispatch on the "backend" key of a pool JSON document."""
-    backend = obj.get("backend")
+    backend = obj["backend"]
     if backend == "poly":
         return PolynomialPool.from_json(obj)
     if backend == "set":

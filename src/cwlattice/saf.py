@@ -75,6 +75,15 @@ class NetworkTopology:
         return self._in_edges[v]
 
 
+def _check_topology(layers: int, width: int, max_indegree: int, edge_density: float) -> None:
+    if layers < 2:
+        raise ValueError("need at least source and sink layers")
+    if width < 1 or max_indegree < 1:
+        raise ValueError("width and max_indegree must be positive")
+    if not 0.0 <= edge_density <= 1.0:
+        raise ValueError("edge density must lie in [0, 1]")
+
+
 def random_dag(
     layers: int,
     width: int,
@@ -90,12 +99,7 @@ def random_dag(
     each non-source node is repaired to in-degree between 1 and
     ``max_indegree``.
     """
-    if layers < 2:
-        raise ValueError("need at least source and sink layers")
-    if width < 1 or max_indegree < 1:
-        raise ValueError("width and max_indegree must be positive")
-    if not 0.0 <= edge_density <= 1.0:
-        raise ValueError("edge density must lie in [0, 1]")
+    _check_topology(layers, width, max_indegree, edge_density)
     rng = random.Random(seed)
     layer_sizes = (1, *([width] * (layers - 2)), 1)
     edges: list[Edge] = []
@@ -397,13 +401,16 @@ def run_trial(
 
 @dataclass(frozen=True)
 class TopologySpec:
-    """Parameters for regenerating a fresh random DAG per trial."""
+    """Parameters for regenerating a fresh random DAG per trial, range-checked."""
 
     layers: int
     width: int
     max_indegree: int
     edge_density: float = 0.5
     seed: int = 0
+
+    def __post_init__(self):
+        _check_topology(self.layers, self.width, self.max_indegree, self.edge_density)
 
 
 @dataclass

@@ -206,7 +206,7 @@ def all_lattices(m: int):
             for j in range(m)
             if i != j and rows[i] >> j & 1
         ]
-        yield FiniteLattice.from_order(labels, order_pairs)
+        yield FiniteLattice(labels, order_pairs)
 
 
 def random_constant_weight_code(n: int, k: int, d: int, rng: random.Random) -> ConstantWeightCode:
