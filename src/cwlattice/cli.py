@@ -220,44 +220,61 @@ def cmd_bounds(args) -> int:
     return 0
 
 
-def cmd_search(args) -> int:
-    graph = cliques.build_graph(args.n, args.k, args.d, exact=args.exact)
-    upper = None if args.exact else bounds_mod.search_upper_bound(args.n, args.k, args.d)
+def _search_row(n: int, k: int, d: int, exact: bool, args) -> dict:
+    """The row search prints, and table2 for each of its rows: the maximum clique size
+    with a witness code and, with --count, the number of maximum cliques of a certified
+    size.  --timeout bounds the search and the count each."""
+    graph = cliques.build_graph(n, k, d, exact=exact)
+    upper = None if exact else bounds_mod.search_upper_bound(n, k, d)
     result = cliques.max_clique(graph, upper_bound=upper, timeout=args.timeout)
-    payload = {
-        "n": args.n,
-        "k": args.k,
-        "d": args.d,
-        "mode": "exact" if args.exact else "at_least",
+    row = {
+        "n": n,
+        "k": k,
+        "d": d,
+        "mode": "exact" if exact else "at_least",
+        "upper_bound": upper,
         "max_size": result.size,
         "complete": result.complete,
         "elapsed": round(result.elapsed, 3),
         "nodes": result.nodes,
     }
-    lines = [
-        f"max clique for (n={args.n}, k={args.k}, d={args.d}, "
-        f"{'exact' if args.exact else 'at least'}): {result.size}"
-        + ("" if result.complete else " (timeout, best so far)")
-    ]
     if result.witnesses:
-        code = cliques.extract_code(graph, result.witnesses[0])
-        payload["code"] = code.to_json()
-        lines.append(f"witness code: {code.to_json()['codewords']}")
+        row["code"] = cliques.extract_code(graph, result.witnesses[0]).to_json()
     if args.count and not result.complete:
         # a count of cliques of an uncertified size would count the wrong thing
-        payload.update(count=None, count_capped=False, count_complete=False, count_nodes=0)
-        lines.append("count skipped: size not certified")
+        row.update(count=None, count_capped=False, count_complete=False, count_nodes=0)
     elif args.count:
         counted = cliques.count_maximum_cliques(
             graph, result.size, cap=args.cap, timeout=args.timeout
         )
-        payload["count"] = counted.count
-        payload["count_capped"] = counted.capped
-        payload["count_complete"] = counted.complete
-        payload["count_nodes"] = counted.nodes
-        suffix = " (capped)" if counted.capped else ("" if counted.complete else " (timeout)")
-        lines.append(f"maximum cliques of size {result.size}: {counted.count}{suffix}")
-    _emit(payload, args, lines)
+        row.update(count=counted.count, count_capped=counted.capped,
+                   count_complete=counted.complete, count_nodes=counted.nodes)
+    return row
+
+
+def _count_text(row: dict) -> str:
+    """A row's count as printed; a count stopped by --cap or --timeout is a lower bound."""
+    if row["count"] is None:
+        return "skipped"
+    state = " (capped)" if row["count_capped"] else ("" if row["count_complete"] else " (timeout)")
+    return f"{row['count']}{state}"
+
+
+def cmd_search(args) -> int:
+    row = _search_row(args.n, args.k, args.d, args.exact, args)
+    lines = [
+        f"max clique for (n={args.n}, k={args.k}, d={args.d}, "
+        f"{'exact' if args.exact else 'at least'}): {row['max_size']}"
+        + ("" if row["complete"] else " (timeout, best so far)")
+    ]
+    if "code" in row:
+        lines.append(f"witness code: {row['code']['codewords']}")
+    if args.count:
+        lines.append(
+            "count skipped: size not certified" if row["count"] is None
+            else f"maximum cliques of size {row['max_size']}: {_count_text(row)}"
+        )
+    _emit(row, args, lines)
     return 0
 
 
@@ -376,58 +393,33 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_table2(args) -> int:
-    rows_out = []
+    rows = []
     lines = [
         f"{'(n,k,d)':>10s} {'bound':>6s} {'found':>6s} {'reported':>9s} "
-        f"{'count':>8s} {'time':>7s}  notes"
+        f"{'count':>17s} {'time':>7s}  notes"
     ]
     for n, k, d, reported in TABLE2_ROWS:
-        graph = cliques.build_graph(n, k, d)
-        upper = bounds_mod.search_upper_bound(n, k, d)
-        result = cliques.max_clique(graph, upper_bound=upper, timeout=args.timeout)
+        row = _search_row(n, k, d, False, args)
         notes = []
-        if not result.complete:
+        if not row["complete"]:
             notes.append("timeout: size is a lower bound")
-        if result.complete and result.size != reported:
+        elif row["max_size"] != reported:
             notes.append(f"disagrees with reported {reported}")
-        count_txt = ""
-        count_payload = None
-        if args.count and result.complete:
-            counted = cliques.count_maximum_cliques(
-                graph, result.size, cap=args.cap, timeout=args.timeout
-            )
-            count_payload = {
-                "count": counted.count,
-                "capped": counted.capped,
-                "complete": counted.complete,
-                "nodes": counted.nodes,
-            }
-            count_txt = str(counted.count)
-            if counted.capped:
-                count_txt = f">{args.cap}"
-            elif not counted.complete:
-                count_txt += "+?"
-        rows_out.append(
-            {
-                "n": n,
-                "k": k,
-                "d": d,
-                "upper_bound": upper,
-                "max_size": result.size,
-                "complete": result.complete,
-                "reported_size": reported,
-                "elapsed": round(result.elapsed, 3),
-                "nodes": result.nodes,
-                "count": count_payload,
-                "notes": notes,
-            }
-        )
+        row.update(reported_size=reported, notes=notes)
+        rows.append(row)
         lines.append(
-            f"({n:2d},{k},{d}) {upper:6d} {result.size:6d} {reported:9d} "
-            f"{count_txt:>8s} {result.elapsed:6.2f}s  {'; '.join(notes)}"
+            f"({n:2d},{k},{d}) {row['upper_bound']:6d} {row['max_size']:6d} {reported:9d} "
+            f"{_count_text(row) if args.count else '':>17s} {row['elapsed']:6.2f}s  {'; '.join(notes)}"
         )
-    _emit({"rows": rows_out}, args, lines)
+    _emit({"rows": rows}, args, lines)
     return 0
+
+
+def _seconds(text: str) -> float:
+    value = float(text)
+    if not value >= 0:  # NaN fails too: a NaN deadline never passes
+        raise argparse.ArgumentTypeError(f"expected a number of seconds >= 0, got {text}")
+    return value
 
 
 def _positive(text: str) -> int:
@@ -469,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="adjacency at distance exactly d instead of at least d")
     p.add_argument("--count", action="store_true", help="also count maximum cliques")
     p.add_argument("--cap", type=_positive, default=cliques.DEFAULT_COUNT_CAP)
-    p.add_argument("--timeout", type=float, default=None, help="seconds per search")
+    p.add_argument("--timeout", type=_seconds, default=None,
+                   help="seconds for the search, and again for the count")
     _common_output(p)
     p.set_defaults(func=cmd_search)
 
@@ -508,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table2", help="run the bundled optimal-code parameter sweep")
     p.add_argument("--count", action="store_true", help="also count maximum cliques")
     p.add_argument("--cap", type=_positive, default=cliques.DEFAULT_COUNT_CAP)
-    p.add_argument("--timeout", type=float, default=120.0, help="seconds per row")
+    p.add_argument("--timeout", type=_seconds, default=120.0,
+                   help="seconds for each row's search, and again for its count")
     _common_output(p)
     p.set_defaults(func=cmd_table2)
 

@@ -32,6 +32,7 @@ Everything is deterministic for a fixed vertex order.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -74,11 +75,11 @@ def build_graph(n: int, k: int, d: int, exact: bool = False) -> CompatibilityGra
         raise ValueError(f"need 1 <= k <= n <= {MAX_GROUND_SET}, got k={k}, n={n}")
     if d % 2 or d < 2:
         raise ValueError(f"distance must be a positive even number, got {d}")
+    # checked before the subsets are listed: C(24, 12) of them take 415 MB
+    size = math.comb(n, k)
+    if size > MAX_VERTICES:
+        raise ValueError(f"graph would have {size} vertices, over the limit {MAX_VERTICES}")
     vertices = tuple(itertools.combinations(range(n), k))
-    if len(vertices) > MAX_VERTICES:
-        raise ValueError(
-            f"graph would have {len(vertices)} vertices, over the limit {MAX_VERTICES}"
-        )
     masks = [sum(1 << i for i in cw) for cw in vertices]
     # symmetric distance of equal-size sets: 2 * (k - |intersection|)
     target = k - d // 2

@@ -35,9 +35,6 @@ from typing import Iterable, Sequence
 
 from cwlattice.cliques import _bits
 
-DEFAULT_SCAN_LIMIT = 12
-
-
 class SizeLimitError(ValueError):
     """The lattice exceeds the configured scan bound."""
 
@@ -185,14 +182,16 @@ class FiniteLattice:
                     return False
         return True
 
-    def has_m3_sublattice(self, scan_limit: int = DEFAULT_SCAN_LIMIT) -> bool:
+    def has_m3_sublattice(self, scan_limit: int | None = None) -> bool:
         """Whether some triple generates a diamond sublattice.
 
         An M3 sublattice is exactly three pairwise incomparable elements
-        with one common pairwise meet and one common pairwise join.
+        with one common pairwise meet and one common pairwise join.  A
+        lattice of more than ``scan_limit`` elements, if one is given, raises
+        SizeLimitError.
         """
         m = len(self.elements)
-        if m > scan_limit:
+        if scan_limit is not None and m > scan_limit:
             raise SizeLimitError(
                 f"lattice has {m} elements, over the scan limit {scan_limit}"
             )
@@ -207,7 +206,7 @@ class FiniteLattice:
                         return True
         return False
 
-    def decomposition_theorem_report(self, scan_limit: int = DEFAULT_SCAN_LIMIT) -> "TheoremReport":
+    def decomposition_theorem_report(self, scan_limit: int | None = None) -> "TheoremReport":
         """Evaluate both sides of the unique-decomposition equivalence."""
         unique = all(
             len(self.irreducible_decompositions(x)) == 1 for x in self.elements

@@ -2,11 +2,11 @@ import json
 
 import pytest
 
-from cwlattice import saf
+from cwlattice import cli, saf
 from cwlattice.cli import main
 from cwlattice.code import ConstantWeightCode
 from cwlattice.data import sample_code, sample_pool
-from cwlattice.lattice import pentagon_n5
+from cwlattice.lattice import boolean_lattice, pentagon_n5
 from cwlattice.pool import pool_from_json
 
 
@@ -167,6 +167,14 @@ def test_lattice_analysis(tmp_path, capsys):
     assert sorted(map(sorted, obj["decompositions"])) == [["a", "b"], ["b", "c"]]
 
 
+def test_lattice_theorem_past_twelve_elements(tmp_path, capsys):
+    path = tmp_path / "b4.json"
+    path.write_text(json.dumps(boolean_lattice(4).to_json()))
+    rc, out, _ = run(capsys, "lattice", "--file", str(path), "--check-theorem")
+    assert rc == 0
+    assert "lattice with 16 elements" in out and "unique decomposition: True" in out
+
+
 def test_lattice_with_multiplication(tmp_path, capsys):
     from cwlattice.lattice import irreducible_not_primary_example
 
@@ -297,3 +305,34 @@ def test_table2_rows(capsys):
     assert any("disagrees" in note for note in flagged["notes"])
     assert all(r["complete"] for r in rows)
     assert all(r["nodes"] >= 0 for r in rows)
+
+
+def assert_search_rows_match_table2(capsys, *flags):
+    """Each table2 row is the search row for its (n, k, d) plus reported_size and notes."""
+    rc, out, _ = run(capsys, "table2", "--json", *flags)
+    assert rc == 0
+    rows = json.loads(out)["rows"]
+    assert [(r["n"], r["k"], r["d"]) for r in rows] == [row[:3] for row in cli.TABLE2_ROWS]
+    for row in rows:
+        argv = ["search", "--n", str(row["n"]), "--k", str(row["k"]), "--d", str(row["d"])]
+        rc, out, _ = run(capsys, *argv, "--json", *flags)
+        assert rc == 0
+        searched = json.loads(out)
+        del searched["elapsed"]
+        for key in ("reported_size", "notes", "elapsed"):
+            del row[key]
+        assert searched == row
+    return rows
+
+
+def test_search_rows_match_table2_rows(capsys):
+    rows = assert_search_rows_match_table2(capsys)
+    assert all(row["mode"] == "at_least" and "code" in row and "count" not in row for row in rows)
+
+
+def test_search_count_rows_match_table2_rows(capsys, monkeypatch):
+    # the full table with --count takes seconds; these rows count in milliseconds
+    monkeypatch.setattr(cli, "TABLE2_ROWS", ((9, 6, 6, 3), (8, 5, 4, 8)))
+    rows = assert_search_rows_match_table2(capsys, "--count")
+    assert [row["count"] for row in rows] == [280, 840]
+    assert all(row["count_complete"] and not row["count_capped"] for row in rows)

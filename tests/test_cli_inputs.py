@@ -145,6 +145,26 @@ def test_counts_must_be_positive(capsys, argv):
     assert "positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["search", "--n", "7", "--k", "4", "--d", "4"], ["table2"]],
+                         ids=["search", "table2"])
+@pytest.mark.parametrize("value", ["nan", "-1", "x"])
+def test_timeout_must_be_seconds(capsys, command, value):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--timeout", value])
+    assert exc.value.code == 2
+    assert "--timeout" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p, expected", [(100000000000031, 0), (2 ** 89 - 1, 2)],
+                         ids=["prime-near-1e14", "past-exact-primality"])
+def test_pool_prime_is_decided_or_refused(tmp_path, p, expected):
+    document = {"backend": "poly", "p": p, "constituents": [[1, 1]]}
+    rc, err, where = load("pool", json.dumps(document), tmp_path)
+    assert rc == expected
+    if rc:
+        assert err.startswith(f"error: {where}: bad pool document: primality is decided only below ")
+
+
 def test_written_documents_load_back(tmp_path):
     _, out, _ = run("pool", "--sample", "--json")
     result = tmp_path / "search.json"
@@ -159,9 +179,8 @@ def test_written_documents_load_back(tmp_path):
         assert (kind, rc, err) == (kind, 0, "")
 
 
-# Integers come from a small range on purpose: a well-formed "p" near 10**18
-# makes trial-division is_prime slow (and a huge layers or width makes the
-# simulation slow), which is slowness on valid input, not malformed input.
+# Integers come from a small range on purpose: a huge layers or width makes
+# the simulation slow, which is slowness on valid input, not malformed input.
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 12)
     | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import comb
 
 import pytest
@@ -223,3 +224,14 @@ def test_zero_timeout_stops_before_any_expansion():
     counted = count_maximum_cliques(g, 5, timeout=0)
     assert not counted.complete and not counted.capped
     assert counted.count == 0 and counted.nodes == 1
+
+
+def test_build_graph_over_the_limit_fails_before_listing_subsets():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2704156 vertices, over the limit"):
+            build_graph(24, 12, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

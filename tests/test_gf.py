@@ -24,6 +24,38 @@ def test_is_prime_small_values():
     assert next_prime(10) == 11
 
 
+def trial_division_is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10 ** 5) if is_prime(n)] == [
+        n for n in range(10 ** 5) if trial_division_is_prime(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n, prime",
+    [
+        (3825123056546413051, False),  # strong pseudoprime to every base up to 31
+        (3215031751, False),  # strong pseudoprime to the bases 2, 3, 5 and 7
+        (2 ** 61 - 1, True),
+        (2 ** 64 + 13, True),
+    ],
+)
+def test_is_prime_large_values(n, prime):
+    assert is_prime(n) is prime
+
+
+def test_is_prime_refuses_past_its_exact_range():
+    # the first strong pseudoprime to every base up to 37, and a Mersenne prime past it
+    for n in (318665857834031151167461, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="decided only below"):
+            is_prime(n)
+    with pytest.raises(ValueError):
+        PrimeField(2 ** 89 - 1)
+
+
 def test_prime_field_rejects_composite():
     with pytest.raises(ValueError):
         PrimeField(9)

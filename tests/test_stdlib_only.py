@@ -1,0 +1,25 @@
+"""The package imports nothing outside the Python standard library."""
+
+import ast
+import pathlib
+import sys
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "cwlattice"
+
+
+def imported_top_level_names(path: pathlib.Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_only_stdlib(path):
+    foreign = imported_top_level_names(path) - set(sys.stdlib_module_names) - {"cwlattice"}
+    assert not foreign, f"{path.name} imports {sorted(foreign)}"
