@@ -522,6 +522,9 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except OSError as exc:  # inputs are read by _load, so this is --out or --csv
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return USAGE_ERROR
     except (ValueError, KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR

@@ -6,6 +6,16 @@ distance is >= d, so cliques are exactly the (n, k, d) constant weight
 codes.  In "exact" mode adjacency requires distance exactly d, the
 generalized Johnson graph J(n, k, d/2).
 
+The build is bit-sliced.  For each ground element i one membership
+bitset holds the vertices that contain i.  Adding the k membership
+bitsets of a vertex A with a ripple-carry bitwise counter gives
+k.bit_length() bit planes, which hold |A & B| for every vertex B at
+once; comparing the planes with target = k - d/2 from the top bit down
+selects A's row.  Two subsets are at distance 2 * (k - |A & B|), so
+when d > 2k the target is negative, no pair qualifies and the graph is
+edgeless; the planes are never compared with a negative target, whose
+sign bits they cannot represent.
+
 Adjacency rows are Python integers used as bitsets.  The search is
 branch and bound with a greedy sequential colouring bound (Tomita and
 Seki's MCQ, in the bitset form of San Segundo et al.'s BBMC): the
@@ -70,7 +80,11 @@ class CompatibilityGraph:
 
 
 def build_graph(n: int, k: int, d: int, exact: bool = False) -> CompatibilityGraph:
-    """Build the subset compatibility graph for the given parameters."""
+    """Build the subset compatibility graph for the given parameters.
+
+    The build is bit-sliced (see the module docstring) and takes about
+    half a second at ``MAX_VERTICES``, so it has no deadline of its own.
+    """
     if not 1 <= k <= n <= MAX_GROUND_SET:
         raise ValueError(f"need 1 <= k <= n <= {MAX_GROUND_SET}, got k={k}, n={n}")
     if d % 2 or d < 2:
@@ -80,18 +94,36 @@ def build_graph(n: int, k: int, d: int, exact: bool = False) -> CompatibilityGra
     if size > MAX_VERTICES:
         raise ValueError(f"graph would have {size} vertices, over the limit {MAX_VERTICES}")
     vertices = tuple(itertools.combinations(range(n), k))
-    masks = [sum(1 << i for i in cw) for cw in vertices]
     # symmetric distance of equal-size sets: 2 * (k - |intersection|)
     target = k - d // 2
-    adjacency = [0] * len(vertices)
-    for a in range(len(vertices)):
-        ma = masks[a]
-        for b in range(a + 1, len(vertices)):
-            inter = (ma & masks[b]).bit_count()
-            ok = inter == target if exact else inter <= target
-            if ok:
-                adjacency[a] |= 1 << b
-                adjacency[b] |= 1 << a
+    adjacency = [0] * size
+    if target >= 0:
+        # members[i] has bit v set when vertex v contains i, built as binary digits
+        digits = [bytearray(b"0") * size for _ in range(n)]
+        for v, subset in enumerate(vertices):
+            for i in subset:
+                digits[i][size - 1 - v] = ord("1")
+        members = [int(row, 2) for row in digits]
+        width = k.bit_length()
+        for a, subset in enumerate(vertices):
+            # planes[j] holds bit j of |subset & vertex b| at bit b
+            planes = [0] * width
+            for i in subset:
+                carry = members[i]
+                for j in range(width):
+                    planes[j], carry = planes[j] ^ carry, planes[j] & carry
+                    if not carry:
+                        break
+            # compare with target from the top bit: equal so far, and already below
+            equal, below = (1 << size) - 1, 0
+            for j in reversed(range(width)):
+                if target >> j & 1:
+                    below |= equal & ~planes[j]
+                    equal &= planes[j]
+                else:
+                    equal &= ~planes[j]
+            # a's own count is k > target, so no row holds its own bit
+            adjacency[a] = equal if exact else equal | below
     return CompatibilityGraph(
         n=n, k=k, d=d, exact=exact, vertices=vertices, adjacency=tuple(adjacency)
     )
@@ -171,8 +203,9 @@ def max_clique(
     """Exact maximum clique size with one witness.
 
     ``upper_bound`` lets the search stop as soon as a clique meeting a
-    proven cap is found.  On timeout the best clique so far is returned
-    flagged incomplete.
+    proven cap is found.  The timeout is checked at every search node,
+    since one node of a large graph costs milliseconds; on timeout the
+    best clique so far is returned flagged incomplete.
     """
     adjacency = graph.adjacency
     V = len(adjacency)
@@ -197,10 +230,9 @@ def max_clique(
     def expand(chosen: list[int], cands: int) -> None:
         nonlocal best_verts
         state["calls"] += 1
-        if deadline is not None and state["calls"] % 4096 == 1:
-            if time.monotonic() >= deadline:
-                state["timed_out"] = True
-                raise _Stop
+        if deadline is not None and time.monotonic() >= deadline:
+            state["timed_out"] = True
+            raise _Stop
         size = len(chosen)
         if not cands:
             if size > state["best"]:
@@ -239,8 +271,8 @@ def count_maximum_cliques(
 
     Counts the cliques through vertex 0 and scales by V / size, which
     vertex transitivity makes exact.  Stops early when the count exceeds
-    ``cap`` or the timeout expires, flagging the result accordingly; the
-    count is then a lower bound.
+    ``cap`` or the timeout, checked at every node, expires, flagging the
+    result accordingly; the count is then a lower bound.
     """
     if size < 1:
         raise ValueError("clique size must be positive")
@@ -253,9 +285,8 @@ def count_maximum_cliques(
 
     def rec(cands: int, need: int) -> None:
         state["calls"] += 1
-        if deadline is not None and state["calls"] % 4096 == 1:
-            if time.monotonic() >= deadline:
-                raise _Stop
+        if deadline is not None and time.monotonic() >= deadline:
+            raise _Stop
         if need == 1:
             state["rooted"] += cands.bit_count()
             if state["rooted"] * V > cap * size:

@@ -26,6 +26,21 @@ def to_networkx(graph: CompatibilityGraph) -> nx.Graph:
     return G
 
 
+def adjacency_oracle(n: int, k: int, d: int, exact: bool) -> tuple[int, ...]:
+    """Adjacency rows of the compatibility graph, one vertex pair at a time."""
+    masks = [sum(1 << i for i in cw) for cw in itertools.combinations(range(n), k)]
+    # symmetric distance of equal-size sets: 2 * (k - |intersection|)
+    target = k - d // 2
+    adjacency = [0] * len(masks)
+    for a in range(len(masks)):
+        for b in range(a + 1, len(masks)):
+            inter = (masks[a] & masks[b]).bit_count()
+            if inter == target if exact else inter <= target:
+                adjacency[a] |= 1 << b
+                adjacency[b] |= 1 << a
+    return tuple(adjacency)
+
+
 def nx_max_clique_size(graph: CompatibilityGraph) -> int:
     G = to_networkx(graph)
     return max((len(c) for c in nx.find_cliques(G)), default=0)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -336,3 +340,29 @@ def test_search_count_rows_match_table2_rows(capsys, monkeypatch):
     rows = assert_search_rows_match_table2(capsys, "--count")
     assert [row["count"] for row in rows] == [280, 840]
     assert all(row["count_complete"] and not row["count_capped"] for row in rows)
+
+
+def test_search_timeout_holds_on_the_largest_graphs():
+    # V = 12870: the build takes well under a second, and the search checks
+    # its deadline at every node, each of which costs milliseconds here
+    argv = ["search", "--n", "16", "--k", "8", "--d", "4", "--timeout", "1", "--json"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "cwlattice.cli", *argv], capture_output=True,
+                          text=True, timeout=30, env=env)
+    assert done.returncode == 0, done.stderr
+    row = json.loads(done.stdout)
+    assert not row["complete"]
+    assert row["elapsed"] < 3
+
+
+# "@" is the test's directory
+@pytest.mark.parametrize("argv, path", [
+    (["bounds", "--n", "7", "--k", "4", "--d", "4", "--out", "@"], "@"),
+    (["simulate", "--sample", "--topology", '{"layers":2,"width":1}', "--trials", "2",
+      "--csv", "@/missing/x.csv"], "@/missing/x.csv"),
+])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, argv, path):
+    rc, _, err = run(capsys, *(a.replace("@", str(tmp_path)) for a in argv))
+    assert rc == 2
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"error: {path.replace('@', str(tmp_path))}: ")

@@ -29,12 +29,12 @@ INDEX_LISTS = (
 )
 HEX = st.text("0123456789ABCDEFabcdefXZ ", max_size=8)
 LABELS = st.sampled_from(["0", "a", "b", "c", "d", "1", "x", ""]) | st.text(max_size=3)
-# "@name" is the file of that name in the test's directory
+# "@name" is the file of that name in the test's directory, "@" the directory
 PATHS = {
     "pool": st.sampled_from(["@pool.json", "@missing.json"]),
     "code": st.sampled_from(["@code.json", "@missing.json"]),
     "lattice": st.sampled_from(["@lattice.json", "@missing.json"]),
-    "out": st.just("@out.txt"),
+    "out": st.sampled_from(["@out.txt", "@", "@missing/out.txt"]),  # writable or not
 }
 FLAG = None  # a flag that takes no value
 COMMON = {"--json": FLAG, "--out": PATHS["out"]}

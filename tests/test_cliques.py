@@ -10,7 +10,25 @@ from cwlattice.cliques import (
     extract_code,
     max_clique,
 )
-from helpers import brute_max_clique_size, count_cliques_oracle, nx_max_clique_size
+from helpers import (
+    adjacency_oracle,
+    brute_max_clique_size,
+    count_cliques_oracle,
+    nx_max_clique_size,
+)
+
+
+def test_build_matches_pair_oracle():
+    # d runs past 2k, where no two k-subsets are far enough apart: edgeless
+    for n in range(1, 10):
+        for k in range(1, n + 1):
+            for d in range(2, 2 * n + 3, 2):
+                for exact in (False, True):
+                    g = build_graph(n, k, d, exact=exact)
+                    assert g.vertices == tuple(itertools.combinations(range(n), k))
+                    assert g.adjacency == adjacency_oracle(n, k, d, exact), (n, k, d, exact)
+                    if d > 2 * k:
+                        assert not any(g.adjacency)
 
 
 def test_build_octahedron():
