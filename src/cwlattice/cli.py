@@ -185,12 +185,12 @@ def cmd_pool(args) -> int:
     lines = [f"pool: backend={pool.backend} n={pool.n}"]
     if pool.backend == "poly":
         for i, f in enumerate(pool.constituents):
-            lines.append(f"  [{i}] {f.to_hex() if pool.field.p == 2 else list(f.coeffs)}")
+            lines.append(f"  [{i}] {pool.element_to_json(f)}")
     if args.compose:
         subset = _parse_indices(args.compose)
         element = pool.compose(subset)
         if pool.backend == "poly":
-            shown = element.to_hex() if pool.field.p == 2 else list(element.coeffs)
+            shown = pool.element_to_json(element)
         else:
             shown = sorted(element)
         result["compose"] = {"subset": list(subset), "element": shown}

@@ -5,28 +5,38 @@ tuple (a_0, a_1, ..., a_n) with every entry reduced mod p and the last
 entry nonzero; the zero polynomial is the empty tuple.  The usual
 operators +, -, *, //, %, divmod are overloaded.
 
-The constructor is the one place where reduction happens: it takes
+The constructor applies the one reduction rule, ``_reduced``: it takes
 any integers, reduces each mod p and strips trailing zeros.  The
 operators therefore compute on plain integers and hand their unreduced
 coefficient lists to it; only long division reduces each quotient
-digit itself, so that a zero digit is skipped and the remainder
-entries stay small.
+digit itself, so that a zero digit is skipped.
+
+Multiplication and division run on one packed form (Kronecker
+substitution): coefficient i sits in bits [i*w, (i+1)*w) of one Python
+int, so a product of polynomials is one product of ints.  The slot
+width w follows one rule, ``_slot_width``: a slot starts at most p - 1
+and takes at most ``terms`` products of two residues, so it stays
+below 2**w for w = bit_length((p-1) + terms*(p-1)**2).  Long division
+adds (p - c)*b*X^shift instead of subtracting c*b*X^shift: slots only
+grow, so no borrow ever crosses a slot boundary.
 
 Binary polynomials additionally support a compact hexadecimal codec:
 the coefficients are read highest degree first as a binary string,
 left-padded with zeros to a whole number of nibbles, and each nibble is
 printed as one uppercase hex digit.  X^13+X^11+X^9+X^8+X^5+X^3+1 is the
-bit string 0010101100101001, i.e. "2B29".
+bit string 0010101100101001, i.e. "2B29".  It is the packed form with
+1-bit slots.
 
-Irreducibility is decided by trial division against every monic
-polynomial of degree at most deg(f)/2.  This is deterministic and
-entirely adequate for the small degrees used here.
+Irreducibility is decided by Ben-Or's test: f of degree n is
+irreducible iff gcd(X^(p^i) - X mod f, f) = 1 for 1 <= i <= n/2, with
+X^(p^i) by square and multiply mod f.  It costs time polynomial in n
+and log p.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 # Miller-Rabin with these bases decides every n below the limit exactly
@@ -92,6 +102,68 @@ class PrimeField:
         return f"PrimeField({self.p})"
 
 
+def _slot_width(p: int, terms: int) -> int:
+    """Bits per slot for one residue plus ``terms`` products of two residues."""
+    return ((p - 1) + terms * (p - 1) ** 2).bit_length()
+
+
+def _pack(coeffs: Sequence[int], w: int) -> int:
+    """Coefficient i in bits [i*w, (i+1)*w); every coefficient lies in [0, 2**w)."""
+    value = 0
+    for c in reversed(coeffs):
+        value = value << w | c
+    return value
+
+
+def _unpack(value: int, slots: int, w: int) -> list[int]:
+    """The lowest ``slots`` slots of a packed value, unreduced."""
+    mask = (1 << w) - 1
+    return [value >> i * w & mask for i in range(slots)]
+
+
+def _divmod_packed(a: int, top: int, b: int, n: int, inv: int, p: int, w: int) -> tuple[int, int]:
+    """Long division of packed ``a`` (slots 0..top) by packed ``b`` (n slots).
+
+    ``inv`` is the inverse of b's leading coefficient mod p.  Returns the
+    packed quotient, its digits reduced mod p, and the packed remainder
+    of n - 1 slots, each congruent mod p to its coefficient but not
+    reduced.  Each slot of ``a`` takes at most n products of two
+    residues on top of what it starts with; w must hold that sum, which
+    is ``_slot_width(p, n)`` when ``a`` starts reduced.
+    """
+    mask = (1 << w) - 1
+    lead = (n - 1) * w
+    q = 0
+    # pos is the bit offset of the quotient digit X^shift, shift = pos / w
+    for pos in range((top - n + 1) * w, -1, -w):
+        c = (a >> pos + lead & mask) * inv % p
+        if c:
+            q |= c << pos
+            # add (p - c)*b rather than subtract c*b: the slots only grow,
+            # so no borrow crosses a slot boundary, and the leading slot
+            # becomes a multiple of p that no later step reads
+            a += (p - c) * b << pos
+    return q, a & ((1 << lead) - 1)
+
+
+def _exact_quotient(a: int, top: int, b: int, n: int, inv: int, p: int, w: int) -> int | None:
+    """Packed a / b when b divides a, else None; arguments as for _divmod_packed."""
+    q, rem = _divmod_packed(a, top, b, n, inv, p, w)
+    mask = (1 << w) - 1
+    for i in range(n - 1):
+        if (rem >> i * w & mask) % p:
+            return None
+    return q
+
+
+def _reduced(coeffs: Iterable[int], p: int) -> list[int]:
+    """Every entry mod p, trailing zeros stripped: the reduction rule."""
+    out = [c % p for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 class Polynomial:
     """Dense univariate polynomial over a prime field.
 
@@ -101,12 +173,8 @@ class Polynomial:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: PrimeField, coeffs: Iterable[int] = ()):
-        p = field.p
-        reduced = [c % p for c in coeffs]
-        while reduced and reduced[-1] == 0:
-            reduced.pop()
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(reduced))
+        object.__setattr__(self, "coeffs", tuple(_reduced(coeffs, field.p)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -159,34 +227,20 @@ class Polynomial:
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._require_same_field(other)
-        if not self or not other:
-            return Polynomial.zero(self.field)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(self.field, out)
+        a, b = self.coeffs, other.coeffs
+        w = _slot_width(self.field.p, min(len(a), len(b)))
+        return Polynomial(self.field, _unpack(_pack(a, w) * _pack(b, w), len(a) + len(b) - 1, w))
 
     def __divmod__(self, other: "Polynomial") -> tuple["Polynomial", "Polynomial"]:
         self._require_same_field(other)
         if not other:
             raise ZeroDivisionError("division by zero polynomial")
-        p = self.field.p
-        db = other.degree
-        rem = list(self.coeffs)
-        if self.degree < db:
-            return Polynomial.zero(self.field), self
-        quot = [0] * (self.degree - db + 1)
-        inv_lead = pow(other.coeffs[-1], -1, p)
-        for shift in range(self.degree - db, -1, -1):
-            c = rem[shift + db] * inv_lead % p
-            if c:
-                quot[shift] = c
-                for i, b in enumerate(other.coeffs):
-                    rem[shift + i] -= c * b
-        return Polynomial(self.field, quot), Polynomial(self.field, rem)
+        a, b, p = self.coeffs, other.coeffs, self.field.p
+        n = len(b)
+        w = _slot_width(p, n)
+        q, r = _divmod_packed(_pack(a, w), len(a) - 1, _pack(b, w), n, pow(b[-1], -1, p), p, w)
+        return (Polynomial(self.field, _unpack(q, len(a) - n + 1, w)),
+                Polynomial(self.field, _unpack(r, n - 1, w)))
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
         return divmod(self, other)[0]
@@ -198,11 +252,7 @@ class Polynomial:
         """Uppercase hex string of the MSB-first coefficient bits (GF(2) only)."""
         if self.field.p != 2:
             raise ValueError("hex codec is defined for GF(2) coefficients only")
-        value = 0
-        for i, c in enumerate(self.coeffs):
-            if c:
-                value |= 1 << i
-        return format(value, "X")
+        return format(_pack(self.coeffs, 1), "X")
 
     @classmethod
     def from_hex(cls, text: str, field: PrimeField) -> "Polynomial":
@@ -215,11 +265,7 @@ class Polynomial:
             raise ValueError(f"invalid hex string {text!r}") from None
         if value < 0:
             raise ValueError(f"invalid hex string {text!r}")
-        coeffs = []
-        while value:
-            coeffs.append(value & 1)
-            value >>= 1
-        return cls(field, coeffs)
+        return cls(field, _unpack(value, value.bit_length(), 1))
 
     def __repr__(self) -> str:
         if not self.coeffs:
@@ -246,17 +292,36 @@ def monic_polynomials(field: PrimeField, degree: int) -> Iterator[Polynomial]:
 
 
 def is_irreducible(f: Polynomial) -> bool:
-    """Trial-division irreducibility test.
+    """Ben-Or irreducibility test on the packed kernel.
 
     Raises ValueError for constant input: units and zero are neither
     reducible nor irreducible here.
     """
     if f.degree < 1:
         raise ValueError("irreducibility is undefined for constant polynomials")
-    if f.degree == 1:
-        return True
-    for d in range(1, f.degree // 2 + 1):
-        for g in monic_polynomials(f.field, d):
-            if not f % g:
-                return False
+    p, n = f.field.p, f.degree
+    # a product of two residues mod f puts at most n products of two
+    # residues in a slot, and dividing it by f (n + 1 slots) adds n + 1
+    w = _slot_width(p, 2 * n + 1)
+    packed_f, inv = _pack(f.coeffs, w), pow(f.coeffs[-1], -1, p)
+
+    def mulmod(a: int, b: int) -> int:
+        rem = _divmod_packed(a * b, 2 * n - 2, packed_f, n + 1, inv, p, w)[1]
+        return _pack(_reduced(_unpack(rem, n, w), p), w)
+
+    x = Polynomial(f.field, (0, 1))
+    power = 1 << w  # X, then X^(p^i) mod f
+    for _ in range(n // 2):
+        # raise to the p-th power by square and multiply
+        base = power
+        for bit in bin(p)[3:]:
+            power = mulmod(power, power)
+            if bit == "1":
+                power = mulmod(power, base)
+        # gcd(power - X, f) by Euclid, stopping at a constant remainder
+        g, r = f, Polynomial(f.field, _unpack(power, n, w)) - x
+        while r.degree > 0:
+            g, r = r, g % r
+        if not r:
+            return False
     return True

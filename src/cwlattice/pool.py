@@ -7,17 +7,27 @@ distinct squarefree products of distinct irreducibles are distinct.
 
 Two backends are provided.  PolynomialPool holds monic irreducible
 polynomials over one prime field and composes by multiplying the
-generators; decomposition is trial division.  SubsetPool is the
+generators in one product of packed ints; decomposition divides the
+packed element by each constituent in turn.  SubsetPool is the
 purely combinatorial backend where elements are the index sets
 themselves.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 from cwlattice.code import validated_indices
-from cwlattice.gf import Polynomial, PrimeField, is_irreducible
+from cwlattice.gf import (
+    Polynomial,
+    PrimeField,
+    _exact_quotient,
+    _pack,
+    _slot_width,
+    _unpack,
+    is_irreducible,
+)
 
 
 class NotDecomposableError(ValueError):
@@ -49,57 +59,77 @@ class PolynomialPool:
             raise ValueError("constituents must be pairwise distinct")
         self.field = field
         self.constituents = constituents
+        # slot width -> the constituents packed at that width
+        self._packed: dict[int, tuple[int, ...]] = {}
+        # decompose divides dividends with reduced slots (the element, then
+        # quotients) by constituents of at most this many coefficients
+        self._division_width = _slot_width(field.p, max(len(f.coeffs) for f in constituents))
 
     @property
     def n(self) -> int:
         return len(self.constituents)
 
+    def _packed_at(self, w: int) -> tuple[int, ...]:
+        packed = self._packed.get(w)
+        if packed is None:
+            packed = self._packed[w] = tuple(_pack(f.coeffs, w) for f in self.constituents)
+        return packed
+
     def compose(self, subset: Iterable[int]) -> Polynomial:
-        """Product of the selected generators."""
+        """Product of the selected generators, as one product of packed ints."""
         indices = validated_indices(subset, self.n)
-        out = Polynomial.one(self.field)
+        lengths = [len(self.constituents[i].coeffs) for i in indices]
+        # every coefficient of the product is at most the product of the
+        # factors' coefficient sums, each at most len * (p - 1)
+        w = math.prod(length * (self.field.p - 1) for length in lengths).bit_length()
+        packed = self._packed_at(w)
+        value = 1
         for i in indices:
-            out = out * self.constituents[i]
-        return out
+            value *= packed[i]
+        return Polynomial(self.field, _unpack(value, sum(lengths) - len(lengths) + 1, w))
 
     def decompose(self, element: Polynomial) -> tuple[int, ...]:
         """The unique index subset whose compose equals the element.
 
-        Found by one trial division per constituent, stopping once the
-        quotient is constant.  The unit element decomposes to the empty
-        subset.
+        The element is packed once and divided in packed form by each
+        constituent in turn, stopping once the quotient is constant.  The
+        unit element decomposes to the empty subset.
         """
         if element.field != self.field:
             raise ValueError("element is not defined over the pool's field")
         if not element:
             raise NotDecomposableError("the zero polynomial is not decomposable")
-        remaining = element
+        p, w = self.field.p, self._division_width
+        packed = self._packed_at(w)
+        remaining, top = _pack(element.coeffs, w), element.degree
         found = []
         for i, f in enumerate(self.constituents):
-            if remaining.degree < 1:
+            if top < 1:
                 break
-            quotient, rem = divmod(remaining, f)
-            if not rem:
+            # constituents are monic, so the lead inverse is 1
+            q = _exact_quotient(remaining, top, packed[i], f.degree + 1, 1, p, w)
+            if q is not None:
                 found.append(i)
-                remaining = quotient
-        if remaining != Polynomial.one(self.field):
+                remaining, top = q, top - f.degree
+        if remaining != 1:  # packed, the unit polynomial is the int 1
             # the constituents are coprime, so one still dividing the
             # rest is exactly one that divides the element twice
             for i in found:
-                if not remaining % self.constituents[i]:
+                n = self.constituents[i].degree + 1
+                if _exact_quotient(remaining, top, packed[i], n, 1, p, w) is not None:
                     raise NotSquarefreeError(
                         f"constituent #{i} divides the element more than once"
                     )
-            raise NotDecomposableError(
-                f"factor {remaining!r} is not a pool constituent"
-            )
+            factor = Polynomial(self.field, _unpack(remaining, top + 1, w))
+            raise NotDecomposableError(f"factor {factor!r} is not a pool constituent")
         return tuple(found)
 
+    def element_to_json(self, f: Polynomial):
+        """An element as documents write it: hex for p = 2, else a coefficient list."""
+        return f.to_hex() if self.field.p == 2 else list(f.coeffs)
+
     def to_json(self) -> dict:
-        if self.field.p == 2:
-            items = [f.to_hex() for f in self.constituents]
-        else:
-            items = [list(f.coeffs) for f in self.constituents]
+        items = [self.element_to_json(f) for f in self.constituents]
         return {"backend": "poly", "p": self.field.p, "constituents": items}
 
     @classmethod

@@ -10,6 +10,7 @@ import networkx as nx
 from cwlattice.cliques import CompatibilityGraph
 from cwlattice.code import ConstantWeightCode
 from cwlattice.lattice import FiniteLattice
+from cwlattice.pool import NotDecomposableError, NotSquarefreeError
 
 
 def to_networkx(graph: CompatibilityGraph) -> nx.Graph:
@@ -131,6 +132,33 @@ def primary_oracle(lat: FiniteLattice, table, q: str) -> bool:
         for b in lat.elements
         if lat.leq(table.mul(a, b), q) and not lat.leq(a, q)
     )
+
+
+def decompose_oracle(pool, element) -> tuple[int, ...]:
+    """``PolynomialPool.decompose`` as a loop of Polynomial divisions.
+
+    Divides by each constituent in turn, keeping the quotient when the
+    remainder is zero; raises the same errors with the same messages.
+    """
+    if element.field != pool.field:
+        raise ValueError("element is not defined over the pool's field")
+    if not element:
+        raise NotDecomposableError("the zero polynomial is not decomposable")
+    remaining = element
+    found = []
+    for i, f in enumerate(pool.constituents):
+        if remaining.degree < 1:
+            break
+        quotient, rem = divmod(remaining, f)
+        if not rem:
+            found.append(i)
+            remaining = quotient
+    if remaining.coeffs != (1,):
+        for i in found:
+            if not remaining % pool.constituents[i]:
+                raise NotSquarefreeError(f"constituent #{i} divides the element more than once")
+        raise NotDecomposableError(f"factor {remaining!r} is not a pool constituent")
+    return tuple(found)
 
 
 def random_multiplication_rows(lat: FiniteLattice, rng: random.Random) -> list[list[str]]:

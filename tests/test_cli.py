@@ -355,6 +355,18 @@ def test_search_timeout_holds_on_the_largest_graphs():
     assert row["elapsed"] < 3
 
 
+def test_pool_file_with_a_large_prime(tmp_path):
+    # X^2+1 is irreducible since p = 3 mod 4; the test must take time
+    # polynomial in log p, not a division per candidate factor
+    path = tmp_path / "pool.json"
+    path.write_text('{"backend":"poly","p":100000000000031,"constituents":[[1,0,1]]}')
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-m", "cwlattice.cli", "pool", "--file", str(path)],
+                          capture_output=True, text=True, timeout=30, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "pool: backend=poly n=1\n  [0] [1, 0, 1]\n"
+
+
 # "@" is the test's directory
 @pytest.mark.parametrize("argv, path", [
     (["bounds", "--n", "7", "--k", "4", "--d", "4", "--out", "@"], "@"),

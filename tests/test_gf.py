@@ -116,13 +116,14 @@ def test_divrem_by_zero(f2):
         divmod(P(f2, 1, 1), Polynomial.zero(f2))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+# 65537 and 2**61 - 1 take packed slots wider than 8 and 64 bits
+@pytest.mark.parametrize("p", [2, 3, 5, 65537, 2 ** 61 - 1])
 def test_division_identity_randomized(p):
     field = PrimeField(p)
     rng = random.Random(1234 + p)
     for _ in range(300):
-        a = Polynomial(field, [rng.randrange(p) for _ in range(rng.randrange(0, 9))])
-        b = Polynomial(field, [rng.randrange(p) for _ in range(rng.randrange(1, 6))])
+        a = Polynomial(field, [rng.randrange(p) for _ in range(rng.randrange(0, 42))])
+        b = Polynomial(field, [rng.randrange(p) for _ in range(rng.randrange(1, 42))])
         if not b:
             continue
         q, r = divmod(a, b)
@@ -159,14 +160,14 @@ def _schoolbook(p, a, b):
     return add, sub, _trimmed(mul), (_trimmed(quot), _trimmed(rem))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 65537, 2 ** 61 - 1])
 def test_operators_match_schoolbook_oracle(p):
     field = PrimeField(p)
     zero = Polynomial.zero(field)
     rng = random.Random(99 + p)
     for _ in range(400):
-        raw_a = [rng.randrange(-2 * p, 2 * p) for _ in range(rng.randrange(0, 9))]
-        raw_b = [rng.randrange(-2 * p, 2 * p) for _ in range(rng.randrange(0, 6))]
+        raw_a = [rng.randrange(-2 * p, 2 * p) for _ in range(rng.randrange(0, 42))]
+        raw_b = [rng.randrange(-2 * p, 2 * p) for _ in range(rng.randrange(0, 42))]
         a, b = Polynomial(field, raw_a), Polynomial(field, raw_b)
         add, sub, mul, div = _schoolbook(p, _trimmed(c % p for c in raw_a), _trimmed(c % p for c in raw_b))
         assert (a + b).coeffs == add
@@ -195,16 +196,19 @@ def test_irreducible_rejects_constants(f2):
         is_irreducible(Polynomial.zero(f2))
 
 
-def test_irreducible_matches_factor_enumeration_upto_degree_8(f2):
-    # oracle: f is reducible iff some monic divisor of degree 1..deg-1 exists
-    for degree in range(1, 9):
-        for f in monic_polynomials(f2, degree):
-            has_factor = any(
-                not f % g
-                for d in range(1, degree)
-                for g in monic_polynomials(f2, d)
-            )
-            assert is_irreducible(f) == (not has_factor)
+def test_irreducible_matches_factor_enumeration_upto_degree_8():
+    # oracle: f is reducible iff some monic divisor of degree 1..deg-1 exists;
+    # degree 8 over GF(2), fewer degrees over larger fields
+    for p, top in ((2, 8), (3, 5), (5, 4), (7, 3)):
+        field = PrimeField(p)
+        for degree in range(1, top + 1):
+            for f in monic_polynomials(field, degree):
+                has_factor = any(
+                    not f % g
+                    for d in range(1, degree)
+                    for g in monic_polynomials(field, d)
+                )
+                assert is_irreducible(f) == (not has_factor), f"{f!r}"
 
 
 def test_hex_worked_value(f2):

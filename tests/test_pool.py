@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -11,6 +12,8 @@ from cwlattice.pool import (
     full_alphabet,
     pool_from_json,
 )
+
+from helpers import decompose_oracle
 
 # products of the sample constituents for the seven sample codewords,
 # frozen from an independent computer-algebra computation
@@ -121,6 +124,42 @@ def test_decompose_foreign_factor_raises(pool744, f2):
 def test_decompose_product_of_all_constituents(pool744):
     for pool in (pool744, gf3_pool()):
         assert pool.decompose(pool.compose(range(pool.n))) == tuple(range(pool.n))
+
+
+def outcome(decompose, pool, element):
+    try:
+        return "subset", decompose(pool, element)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("p, degrees", [(2, (2, 3, 4, 5)), (3, (1, 2, 3)), (5, (1, 2))])
+def test_decompose_matches_division_loop(p, degrees):
+    field = PrimeField(p)
+    irreducible = [f for d in degrees for f in monic_polynomials(field, d) if is_irreducible(f)]
+    rng = random.Random(7 + p)
+    rng.shuffle(irreducible)
+    pool, foreign = PolynomialPool(irreducible[:6]), irreducible[6:]
+    elements = [Polynomial.zero(field)]
+    for trial in range(300):
+        chosen = sorted(rng.sample(range(pool.n), rng.randrange(0, pool.n + 1)))
+        element = Polynomial.one(field)
+        for i in chosen:
+            element = element * pool.constituents[i]
+        extra = (None, "squared", "foreign", "constant")[trial % 4]
+        if extra == "squared" and chosen:
+            element = element * pool.constituents[rng.choice(chosen)]
+        elif extra == "foreign":
+            element = element * rng.choice(foreign)
+        elif extra == "constant":
+            element = element * Polynomial(field, (rng.randrange(1, p),))
+        elements.append(element)
+    seen = set()
+    for element in elements:
+        want = outcome(decompose_oracle, pool, element)
+        assert outcome(PolynomialPool.decompose, pool, element) == want
+        seen.add(want[0])
+    assert seen == {"subset", NotSquarefreeError, NotDecomposableError}
 
 
 def test_full_alphabet_of_sample_code(pool744, code744):
