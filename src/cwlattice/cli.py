@@ -5,7 +5,7 @@
     cwlattice search    --n 8 --k 4 --d 4 [--exact] [--count] [--cap N] [--timeout S] [--out code.json]
     cwlattice decode    (--code code.json | --sample-code) --received 1,3,6
     cwlattice lattice   --file lattice.json [--element x] [--check-theorem]
-    cwlattice simulate  (--code ... --pool ... | --sample) --topology JSON --adversary JSON --trials T [--csv out.csv]
+    cwlattice simulate  (--code ... [--pool ...] | --sample) --topology JSON --adversary JSON --trials T [--csv out.csv]
     cwlattice table2    [--count] [--cap N] [--timeout S] [--json]
 
 Exit codes: 0 success, 1 errors computing on inputs that loaded, 2 usage
@@ -362,10 +362,10 @@ def cmd_simulate(args) -> int:
         pool = data.sample_pool()
         code = data.sample_code()
     else:
-        if not args.code or not args.pool:
-            raise SchemaError("simulate needs --code and --pool (or --sample)")
+        if not args.code:
+            raise SchemaError("simulate needs --code (or --sample)")
         code = _load("code", ConstantWeightCode.from_json, args.code)
-        pool = _load("pool", pool_from_json, args.pool)
+        pool = _load("pool", pool_from_json, args.pool) if args.pool else None
     spec = _load("topology", lambda obj: saf.TopologySpec(
         layers=obj["layers"],
         width=obj["width"],
@@ -388,6 +388,7 @@ def cmd_simulate(args) -> int:
             f"  {outcome.value:12s} {stats.counts.get(outcome, 0):6d}"
             f"  ({stats.rate(outcome):.3f})"
         )
+    lines.append(f"  guarantee violations: {stats.guarantee_violations}")
     _emit(payload, args, lines)
     return 0
 
@@ -486,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="store-and-forward network experiments")
     p.add_argument("--code", help="code catalog JSON")
-    p.add_argument("--pool", help="pool JSON")
+    p.add_argument("--pool", help="pool JSON, checked against the code's n when given")
     p.add_argument("--sample", action="store_true",
                    help="use the bundled pool and (7,4,4) code")
     p.add_argument("--topology", required=True,

@@ -12,10 +12,12 @@ recovered index set to the minimum distance decoder.
 
 An adversary may substitute symbols on edges or erase whole edges:
 each model's ``corrupt(edge, packet, q, rng)`` returns the packet that
-arrives on an edge, or None when it is erased, and ``apply_adversary``
-calls it on a node's in-edges in sorted order.  Substituting a symbol
-by one already present in the packet collapses at the dedup step,
-which is exactly how erasures arise in this scheme.
+arrives on an edge, or None when it is erased.  A trial walks each
+node's sorted tuple of predecessors and calls it on every in-edge whose
+tail emitted a packet; ``apply_adversary`` is the batch form of the
+same rule, over a dict of packets in flight.  Substituting a symbol by
+one already present in the packet collapses at the dedup step, which is
+exactly how erasures arise in this scheme.
 
 All randomness is seeded; a trial is a pure function of its seeds.
 """
@@ -28,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from cwlattice.code import ConstantWeightCode, decode
+from cwlattice.code import ConstantWeightCode, decode, guaranteed_correctable
 from cwlattice.gf import is_prime, next_prime
 
 Edge = tuple[int, int]
@@ -37,26 +39,33 @@ Packet = tuple[int, ...]
 
 @dataclass(frozen=True)
 class NetworkTopology:
-    """Layered DAG with node 0 the source and the last node the sink."""
+    """Layered DAG with node 0 the source and the last node the sink.
+
+    ``preds[v]`` is the sorted tuple of v's predecessors; a trial walks
+    these tuples by node index.
+    """
 
     layer_sizes: tuple[int, ...]
     edges: tuple[Edge, ...]
     max_indegree: int
+    preds: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if len(set(self.edges)) != len(self.edges):
+            raise ValueError("edges must be distinct")
         layer_of = [layer for layer, size in enumerate(self.layer_sizes) for _ in range(size)]
-        ins: list[list[Edge]] = [[] for _ in layer_of]
+        preds: list[list[int]] = [[] for _ in layer_of]
         for u, v in self.edges:
             if layer_of[u] >= layer_of[v]:
                 raise ValueError(f"edge ({u}, {v}) does not go to a later layer")
-            ins[v].append((u, v))
+            preds[v].append(u)
         for v in range(1, self.node_count):
-            indeg = len(ins[v])
+            indeg = len(preds[v])
             if not 1 <= indeg <= self.max_indegree:
                 raise ValueError(
                     f"node {v} has in-degree {indeg}, need 1..{self.max_indegree}"
                 )
-        object.__setattr__(self, "_in_edges", tuple(tuple(sorted(e)) for e in ins))
+        object.__setattr__(self, "preds", tuple(tuple(sorted(p)) for p in preds))
 
     @property
     def node_count(self) -> int:
@@ -72,7 +81,7 @@ class NetworkTopology:
 
     def in_edges(self, v: int) -> tuple[Edge, ...]:
         """The edges into node v, sorted."""
-        return self._in_edges[v]
+        return tuple((u, v) for u in self.preds[v])
 
 
 def _check_topology(layers: int, width: int, max_indegree: int, edge_density: float) -> None:
@@ -101,13 +110,14 @@ def random_dag(
     """
     _check_topology(layers, width, max_indegree, edge_density)
     rng = random.Random(seed)
+    draw = rng.random
     layer_sizes = (1, *([width] * (layers - 2)), 1)
     edges: list[Edge] = []
     first = 1  # first node of the current layer
     for size in layer_sizes[1:]:
         earlier = range(first)
         for v in range(first, first + size):
-            chosen = [u for u in earlier if rng.random() < edge_density]
+            chosen = [u for u in earlier if draw() < edge_density]
             if not chosen:
                 chosen = [rng.choice(earlier)]
             if len(chosen) > max_indegree:
@@ -240,6 +250,10 @@ class RandomSubstitution:
         out = []
         for s in packet:
             if rng.random() < self.prob:
+                if q < 3:
+                    raise ValueError(
+                        f"random substitution needs q >= 3: F_{q} has no other nonzero symbol"
+                    )
                 # uniform over the q - 2 nonzero symbols other than s
                 x = rng.randrange(1, q - 1)
                 s = x + (x >= s)
@@ -293,7 +307,10 @@ def apply_adversary(
     q: int,
     rng: random.Random,
 ) -> dict[Edge, Packet]:
-    """Corrupt the packets in flight in edge order; erased edges vanish from the dict."""
+    """Corrupt the packets in flight in edge order; erased edges vanish from the dict.
+
+    The batch form of what ``run_trial`` does edge by edge.
+    """
     out: dict[Edge, Packet] = {}
     for edge in sorted(flight):
         packet = model.corrupt(edge, flight[edge], q, rng)
@@ -326,7 +343,14 @@ class TrialResult:
     received: tuple[int, ...]
     decoded: tuple[int, ...] | None
     ties: int
-    decoded_element: object = None
+    pool: object = field(default=None, compare=False, repr=False)
+
+    @property
+    def decoded_element(self):
+        """The pool element of the decoded codeword, or None."""
+        if self.decoded is None or self.pool is None:
+            return None
+        return self.pool.compose(self.decoded)
 
 
 def run_trial(
@@ -346,22 +370,28 @@ def run_trial(
         raise ValueError("pool size differs from the code's ground set")
     transmitted = code.codewords[message_index]
     k = code.k
+    q = symbol_map.q
+    corrupt = adversary.corrupt
     rng = _adversary_rng(adversary, trial_seed)
+    preds = topology.preds
+    sink = topology.sink
 
-    emitted: dict[int, Packet] = {topology.source: source_encode(transmitted, symbol_map)}
+    # what each node forwards; None for a silent node
+    emitted: list[Packet | None] = [None] * topology.node_count
+    emitted[topology.source] = source_encode(transmitted, symbol_map)
     packets: list[Packet] = []
-    # the last node is the sink, so the loop ends holding what reached it
-    for v in range(1, topology.node_count):
-        flight = {
-            (u, w): emitted[u]
-            for (u, w) in topology.in_edges(v)
-            if u in emitted
-        }
-        packets = list(apply_adversary(flight, adversary, symbol_map.q, rng).values())
-        if packets and v != topology.sink:
-            forwarded = node_process(packets, k)
-            if forwarded is not None:
-                emitted[v] = forwarded
+    # the last node is the sink, so the loop ends holding what reached it;
+    # ascending predecessors are the sorted in-edge order of apply_adversary
+    for v in range(1, sink + 1):
+        packets = []
+        for u in preds[v]:
+            packet = emitted[u]
+            if packet is not None:
+                packet = corrupt((u, v), packet, q, rng)
+                if packet is not None:
+                    packets.append(packet)
+        if packets and v != sink:
+            emitted[v] = node_process(packets, k)
 
     if not packets:
         return TrialResult(
@@ -372,6 +402,7 @@ def run_trial(
             received=(),
             decoded=None,
             ties=0,
+            pool=pool,
         )
 
     recovered = sink_recover(packets, k, symbol_map)
@@ -395,7 +426,7 @@ def run_trial(
         received=recovered.indices,
         decoded=decoded,
         ties=len(result.candidates),
-        decoded_element=None if decoded is None or pool is None else pool.compose(decoded),
+        pool=pool,
     )
 
 
@@ -418,6 +449,8 @@ class ExperimentStats:
     trials: int = 0
     counts: dict = field(default_factory=dict)
     results: list = field(default_factory=list)
+    # trials within 2*(2t + e) < d_min that did not end in SUCCESS; must stay 0
+    guarantee_violations: int = 0
 
     def rate(self, outcome: Outcome) -> float:
         return self.counts.get(outcome, 0) / self.trials if self.trials else 0.0
@@ -427,6 +460,7 @@ class ExperimentStats:
             "trials": self.trials,
             "counts": {o.value: self.counts.get(o, 0) for o in Outcome},
             "rates": {o.value: self.rate(o) for o in Outcome},
+            "guarantee_violations": self.guarantee_violations,
         }
 
 
@@ -440,8 +474,13 @@ def run_experiment(
     seed: int = 0,
     keep_results: bool = True,
 ) -> ExperimentStats:
-    """Seeded batch of independent trials with per-outcome counts."""
+    """Seeded batch of independent trials with per-outcome counts.
+
+    A code of one codeword has no minimum distance, so no guarantee to
+    check: its ``guarantee_violations`` stays 0.
+    """
     stats = ExperimentStats()
+    has_distance = len(code) > 1
     for t in range(trials):
         trial_rng = random.Random(f"experiment:{seed}:{t}")
         if isinstance(topology, TopologySpec):
@@ -458,6 +497,9 @@ def run_experiment(
         result = run_trial(topo, code, pool, symbol_map, adversary, message, trial_seed=t ^ seed)
         stats.trials += 1
         stats.counts[result.outcome] = stats.counts.get(result.outcome, 0) + 1
+        if (result.outcome is not Outcome.SUCCESS and has_distance
+                and guaranteed_correctable(code, result.errors_at_sink, result.erasures_at_sink)):
+            stats.guarantee_violations += 1
         if keep_results:
             stats.results.append(result)
     return stats

@@ -7,8 +7,9 @@ import random
 
 import networkx as nx
 
+from cwlattice import saf
 from cwlattice.cliques import CompatibilityGraph
-from cwlattice.code import ConstantWeightCode
+from cwlattice.code import ConstantWeightCode, decode
 from cwlattice.lattice import FiniteLattice
 from cwlattice.pool import NotDecomposableError, NotSquarefreeError
 
@@ -270,3 +271,35 @@ def johnson2_recursive(n: int, k: int, delta: int) -> int:
     if k == delta:
         return n // k
     return n * johnson2_recursive(n - 1, k - 1, delta) // k
+
+
+def reference_trial(topology, code, pool, symbol_map, adversary, message_index, trial_seed=0):
+    """``saf.run_trial`` as a dict of packets in flight per node, corrupted by
+    ``saf.apply_adversary``, with each node's in-edges read off ``topology.edges``."""
+    transmitted = code.codewords[message_index]
+    k = code.k
+    rng = saf._adversary_rng(adversary, trial_seed)
+    emitted = {topology.source: saf.source_encode(transmitted, symbol_map)}
+    packets = []
+    for v in range(1, topology.node_count):
+        flight = {(u, w): emitted[u] for (u, w) in topology.edges if w == v and u in emitted}
+        packets = list(saf.apply_adversary(flight, adversary, symbol_map.q, rng).values())
+        if packets and v != topology.sink:
+            forwarded = saf.node_process(packets, k)
+            if forwarded is not None:
+                emitted[v] = forwarded
+    if not packets:
+        return saf.TrialResult(transmitted, saf.Outcome.NODE_FAILURE, 0, k, (), None, 0, pool)
+    recovered = saf.sink_recover(packets, k, symbol_map)
+    result = decode(recovered.indices, code)
+    decoded = result.codeword
+    if decoded is None:
+        outcome = saf.Outcome.DETECTED
+    elif decoded == transmitted:
+        outcome = saf.Outcome.SUCCESS
+    else:
+        outcome = saf.Outcome.WRONG
+    return saf.TrialResult(
+        transmitted, outcome, len(set(recovered.indices) - set(transmitted)),
+        k - len(recovered.indices), recovered.indices, decoded, len(result.candidates), pool,
+    )

@@ -250,6 +250,49 @@ def test_simulate_usage_error(capsys):
     assert "--sample" in err
 
 
+def _simulate_files(tmp_path, code_doc, pool_doc):
+    code, pool = tmp_path / "code.json", tmp_path / "pool.json"
+    code.write_text(json.dumps(code_doc))
+    pool.write_text(json.dumps(pool_doc))
+    return str(code), str(pool)
+
+
+def test_simulate_needs_only_code(tmp_path, capsys):
+    code, pool = _simulate_files(tmp_path, sample_code().to_json(), sample_pool().to_json())
+    args = ("--topology", '{"layers":4,"width":3,"seed":2}',
+            "--adversary", '{"type":"random_substitution","prob":0.1,"seed":5}', "--trials", "40")
+    rc1, out1, _ = run(capsys, "simulate", "--code", code, *args)
+    rc2, out2, _ = run(capsys, "simulate", "--code", code, "--pool", pool, *args)
+    assert rc1 == rc2 == 0
+    assert out1 == out2
+    assert "guarantee violations: 0" in out1
+
+
+def test_simulate_json_reports_guarantee_violations(capsys):
+    rc, out, _ = run(capsys, "simulate", "--sample", "--topology", '{"layers":3,"width":2}',
+                     "--adversary", '{"type":"edge_erasure","prob":0.3}', "--trials", "20", "--json")
+    assert rc == 0
+    assert json.loads(out)["guarantee_violations"] == 0
+
+
+def test_simulate_random_substitution_over_f2(tmp_path, capsys):
+    code, pool = _simulate_files(tmp_path, {"n": 1, "codewords": [[0]]}, {"backend": "set", "n": 1})
+    rc, _, err = run(
+        capsys, "simulate", "--code", code, "--pool", pool, "--topology", '{"layers":3,"width":2}',
+        "--adversary", '{"type":"random_substitution","prob":0.5}',
+    )
+    assert rc == 1
+    assert err == "error: random substitution needs q >= 3: F_2 has no other nonzero symbol\n"
+
+
+def test_simulate_pool_must_match_code(tmp_path, capsys):
+    code, pool = _simulate_files(tmp_path, sample_code().to_json(), {"backend": "set", "n": 8})
+    rc, _, err = run(capsys, "simulate", "--code", code, "--pool", pool,
+                     "--topology", '{"layers":2,"width":1}', "--trials", "1")
+    assert rc == 1
+    assert "pool size" in err and err.count("\n") == 1
+
+
 TOPOLOGY = '{"layers":2,"width":1}'
 
 

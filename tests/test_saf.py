@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cwlattice import saf
-from cwlattice.code import ConstantWeightCode
+from cwlattice.code import ConstantWeightCode, DecodeResult
 from cwlattice.saf import (
     EdgeErasure,
     NetworkTopology,
@@ -21,6 +21,7 @@ from cwlattice.saf import (
     sink_recover,
     source_encode,
 )
+from helpers import reference_trial
 
 DIRECT = NetworkTopology(layer_sizes=(1, 1), edges=((0, 1),), max_indegree=1)
 
@@ -62,6 +63,28 @@ def test_topology_validation():
         NetworkTopology(layer_sizes=(1, 1), edges=((1, 0),), max_indegree=1)
     with pytest.raises(ValueError, match="in-degree"):
         NetworkTopology(layer_sizes=(1, 2, 1), edges=((0, 1), (0, 2)), max_indegree=2)
+    with pytest.raises(ValueError, match="distinct"):
+        NetworkTopology(layer_sizes=(1, 1), edges=((0, 1), (0, 1)), max_indegree=2)
+
+
+def _preds_oracle(topo):
+    return [tuple(sorted(u for u, w in topo.edges if w == v)) for v in range(topo.node_count)]
+
+
+def test_preds_are_sorted_predecessors():
+    for seed in range(60):
+        topo = random_dag(layers=2 + seed % 6, width=1 + seed % 5, max_indegree=1 + seed % 4,
+                          edge_density=(seed % 7) / 6, seed=seed)
+        assert list(topo.preds) == _preds_oracle(topo)
+        assert all(topo.in_edges(v) == tuple((u, v) for u in topo.preds[v])
+                   for v in range(topo.node_count))
+    # edges given out of order
+    topo = NetworkTopology(
+        layer_sizes=(1, 2, 1), edges=((2, 3), (0, 2), (1, 3), (0, 1)), max_indegree=2
+    )
+    assert topo.preds == ((), (0,), (0,), (1, 2))
+    assert list(topo.preds) == _preds_oracle(topo)
+    assert topo.in_edges(3) == ((1, 3), (2, 3))
 
 
 def test_symbol_map_defaults():
@@ -170,6 +193,60 @@ def test_erasure_leaves_disjoint_path_intact(code744, pool744):
     assert result.outcome == Outcome.SUCCESS
 
 
+REFERENCE_ADVERSARIES = (
+    NoAdversary(),
+    RandomSubstitution(0.2, seed=3),
+    EdgeErasure(0.2, edges=((0, 1),), seed=4),
+    TargetedSubstitution(rules=(((0, 1), 1, 2), ((0, 2), 3, 5), ((1, 4), 2, 7))),
+)
+# layers, width, max_indegree, edge_density
+REFERENCE_SHAPES = ((2, 1, 1, 0.5), (4, 3, 3, 0.5), (6, 4, 3, 0.2), (5, 5, 2, 0.9), (8, 6, 3, 0.1))
+
+
+@pytest.mark.parametrize("adversary", REFERENCE_ADVERSARIES, ids=lambda a: a.kind)
+def test_run_trial_matches_reference_trial(code744, pool744, adversary):
+    smap = SymbolMap.default(7)
+    rng = random.Random(f"reference:{adversary.kind}")
+    outcomes = set()
+    for layers, width, indegree, density in REFERENCE_SHAPES:
+        for _ in range(40):
+            topo = random_dag(layers, width, indegree, density, seed=rng.randrange(2 ** 32))
+            message, trial_seed = rng.randrange(len(code744)), rng.randrange(2 ** 32)
+            got = run_trial(topo, code744, pool744, smap, adversary, message, trial_seed)
+            want = reference_trial(topo, code744, pool744, smap, adversary, message, trial_seed)
+            assert got == want
+            assert got.decoded_element == want.decoded_element
+            outcomes.add(got.outcome)
+    assert Outcome.SUCCESS in outcomes
+    if adversary.kind != "none":
+        assert len(outcomes) > 1
+
+
+def test_decoded_element_is_composed_only_when_read(code744, pool744):
+    class CountingPool:
+        n = pool744.n
+        calls = 0
+
+        def compose(self, subset):
+            CountingPool.calls += 1
+            return pool744.compose(subset)
+
+    smap = SymbolMap.default(7)
+    result = run_trial(DIRECT, code744, CountingPool(), smap, NoAdversary(), message_index=3)
+    assert CountingPool.calls == 0
+    assert result.decoded_element == pool744.compose(code744.codewords[3])
+    assert CountingPool.calls == 1
+    bare = run_trial(DIRECT, code744, None, smap, NoAdversary(), message_index=3)
+    assert bare == result and bare.decoded_element is None
+
+
+def test_random_substitution_over_f2_names_q():
+    rng = random.Random(0)
+    assert RandomSubstitution(prob=0.0).corrupt((0, 1), (1,), 2, rng) == (1,)
+    with pytest.raises(ValueError, match="q >= 3"):
+        RandomSubstitution(prob=1.0).corrupt((0, 1), (1,), 2, rng)
+
+
 def test_trial_clean_channel(code744, pool744):
     smap = SymbolMap.default(7)
     result = run_trial(DIRECT, code744, pool744, smap, NoAdversary(), message_index=0)
@@ -224,6 +301,7 @@ def test_seeded_experiment_results_are_pinned(code744, pool744, adversary, count
     assert tuple(stats.counts.get(o, 0) for o in Outcome) == counts
     assert sum(r.errors_at_sink for r in stats.results) == t_sum
     assert sum(r.erasures_at_sink for r in stats.results) == e_sum
+    assert stats.guarantee_violations == 0
 
 
 def test_trial_determinism(code744, pool744):
@@ -251,6 +329,24 @@ def test_experiment_clean_statistics(code744, pool744):
     assert stats.trials == 200
     assert stats.counts.get(Outcome.SUCCESS, 0) == 200
     assert stats.rate(Outcome.SUCCESS) == 1.0
+
+
+def test_guarantee_violations_count_failures_within_the_guarantee(code744, pool744, monkeypatch):
+    # a decoder that always ties fails trials with t = e = 0, inside the guarantee
+    monkeypatch.setattr(saf, "decode", lambda received, code: DecodeResult(0, code.codewords[:2]))
+    stats = run_experiment(code744, pool744, SymbolMap.default(7), DIRECT, NoAdversary(), trials=5)
+    assert stats.counts == {Outcome.DETECTED: 5}
+    assert stats.guarantee_violations == 5
+    assert stats.to_json()["guarantee_violations"] == 5
+
+
+def test_one_codeword_code_counts_no_guarantee_violations():
+    code = ConstantWeightCode(3, [(0, 1)])
+    stats = run_experiment(
+        code, None, SymbolMap.default(3), DIRECT, EdgeErasure(prob=1.0), trials=4,
+    )
+    assert stats.counts == {Outcome.NODE_FAILURE: 4}
+    assert stats.guarantee_violations == 0
 
 
 def test_experiment_csv(tmp_path, code744, pool744):
