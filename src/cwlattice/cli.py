@@ -373,8 +373,14 @@ def cmd_simulate(args) -> int:
         edge_density=obj.get("density", 0.5),
         seed=obj.get("seed", args.seed),
     ), "--topology", args.topology)
-    adversary = _load("adversary", _adversary, "--adversary", args.adversary)
     symbol_map = saf.SymbolMap.default(code.n)
+
+    def checked_adversary(obj: dict) -> saf.Adversary:
+        adversary = _adversary(obj)
+        saf.check_adversary(adversary, spec.layer_sizes, symbol_map.q)
+        return adversary
+
+    adversary = _load("adversary", checked_adversary, "--adversary", args.adversary)
     stats = saf.run_experiment(
         code, pool, symbol_map, spec, adversary, trials=args.trials, seed=args.seed,
         keep_results=bool(args.csv),

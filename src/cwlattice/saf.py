@@ -12,20 +12,33 @@ recovered index set to the minimum distance decoder.
 
 An adversary may substitute symbols on edges or erase whole edges:
 each model's ``corrupt(edge, packet, q, rng)`` returns the packet that
-arrives on an edge, or None when it is erased.  A trial walks each
-node's sorted tuple of predecessors and calls it on every in-edge whose
-tail emitted a packet; ``apply_adversary`` is the batch form of the
-same rule, over a dict of packets in flight.  Substituting a symbol by
-one already present in the packet collapses at the dedup step, which is
+arrives on an edge, or None when it is erased, and returns the very
+packet it was given when it changed nothing.  A trial walks each node's
+sorted tuple of predecessors and calls it on every in-edge whose tail
+emitted a packet; ``apply_adversary`` is the batch form of the same
+rule, over a dict of packets in flight.  Substituting a symbol by one
+already present in the packet collapses at the dedup step, which is
 exactly how erasures arise in this scheme.
 
-All randomness is seeded; a trial is a pure function of its seeds.
+Forwarding invariant: every packet a node emits holds k distinct
+nonzero symbols (the source maps k distinct indices injectively, and
+dedup emits nothing shorter).  Dedup returns such a packet unchanged
+when it comes first, so a node whose first arriving packet is the one
+its tail emitted forwards that packet without dedup.
+
+All randomness is seeded; a trial is a pure function of its seeds.  The
+models with a ``seed`` field (random substitution, edge erasure) draw
+from a ``random.Random`` seeded per trial; the others never draw and
+get None.  ``run_experiment`` checks the adversary once per run against
+the layers and q (``check_adversary``).
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import enum
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -37,39 +50,56 @@ Edge = tuple[int, int]
 Packet = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class NetworkTopology:
     """Layered DAG with node 0 the source and the last node the sink.
 
-    ``preds[v]`` is the sorted tuple of v's predecessors; a trial walks
-    these tuples by node index.
+    ``preds[v]`` is the sorted tuple of v's predecessors, the topology's
+    one adjacency; a trial walks these tuples by node index, and
+    ``edges`` and ``in_edges`` are read off them.  The constructor takes
+    an edge list and checks it; ``random_dag`` builds ``preds`` as it
+    draws and skips those checks.
     """
 
     layer_sizes: tuple[int, ...]
-    edges: tuple[Edge, ...]
+    preds: tuple[tuple[int, ...], ...]
     max_indegree: int
-    preds: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if len(set(self.edges)) != len(self.edges):
+    def __init__(self, layer_sizes: tuple[int, ...], edges: Iterable[Edge], max_indegree: int):
+        edges = tuple(edges)
+        if len(set(edges)) != len(edges):
             raise ValueError("edges must be distinct")
-        layer_of = [layer for layer, size in enumerate(self.layer_sizes) for _ in range(size)]
+        layer_of = [layer for layer, size in enumerate(layer_sizes) for _ in range(size)]
         preds: list[list[int]] = [[] for _ in layer_of]
-        for u, v in self.edges:
+        for u, v in edges:
+            if not (0 <= u < len(layer_of) and 0 <= v < len(layer_of)):
+                raise ValueError(f"edge ({u}, {v}) names a node outside 0..{len(layer_of) - 1}")
             if layer_of[u] >= layer_of[v]:
                 raise ValueError(f"edge ({u}, {v}) does not go to a later layer")
             preds[v].append(u)
-        for v in range(1, self.node_count):
+        for v in range(1, len(preds)):
             indeg = len(preds[v])
-            if not 1 <= indeg <= self.max_indegree:
-                raise ValueError(
-                    f"node {v} has in-degree {indeg}, need 1..{self.max_indegree}"
-                )
-        object.__setattr__(self, "preds", tuple(tuple(sorted(p)) for p in preds))
+            if not 1 <= indeg <= max_indegree:
+                raise ValueError(f"node {v} has in-degree {indeg}, need 1..{max_indegree}")
+        self._fill(tuple(layer_sizes), tuple(tuple(sorted(p)) for p in preds), max_indegree)
+
+    @classmethod
+    def _from_preds(
+        cls, layer_sizes: tuple[int, ...], preds: tuple[tuple[int, ...], ...], max_indegree: int
+    ) -> "NetworkTopology":
+        """A topology whose sorted predecessor tuples the caller vouches for."""
+        topology = cls.__new__(cls)
+        topology._fill(layer_sizes, preds, max_indegree)
+        return topology
+
+    def _fill(self, layer_sizes, preds, max_indegree) -> None:
+        object.__setattr__(self, "layer_sizes", layer_sizes)
+        object.__setattr__(self, "preds", preds)
+        object.__setattr__(self, "max_indegree", max_indegree)
 
     @property
     def node_count(self) -> int:
-        return sum(self.layer_sizes)
+        return len(self.preds)
 
     @property
     def source(self) -> int:
@@ -77,7 +107,12 @@ class NetworkTopology:
 
     @property
     def sink(self) -> int:
-        return self.node_count - 1
+        return len(self.preds) - 1
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """Every edge (u, v), sorted."""
+        return tuple(sorted((u, v) for v, pred in enumerate(self.preds) for u in pred))
 
     def in_edges(self, v: int) -> tuple[Edge, ...]:
         """The edges into node v, sorted."""
@@ -93,6 +128,11 @@ def _check_topology(layers: int, width: int, max_indegree: int, edge_density: fl
         raise ValueError("edge density must lie in [0, 1]")
 
 
+def _layer_sizes(layers: int, width: int) -> tuple[int, ...]:
+    """One source, ``layers - 2`` layers of ``width`` nodes, one sink."""
+    return (1, *([width] * (layers - 2)), 1)
+
+
 def random_dag(
     layers: int,
     width: int,
@@ -106,27 +146,28 @@ def random_dag(
     the layers between hold ``width`` nodes each.  Candidate edges run
     from any earlier layer to any later node; after density sampling,
     each non-source node is repaired to in-degree between 1 and
-    ``max_indegree``.
+    ``max_indegree``.  Candidates are scanned in ascending order and a
+    repair sample is sorted, so each node's predecessor tuple is built
+    sorted as it is drawn.
     """
     _check_topology(layers, width, max_indegree, edge_density)
     rng = random.Random(seed)
     draw = rng.random
-    layer_sizes = (1, *([width] * (layers - 2)), 1)
-    edges: list[Edge] = []
+    layer_sizes = _layer_sizes(layers, width)
+    preds: list[tuple[int, ...]] = [()]
     first = 1  # first node of the current layer
     for size in layer_sizes[1:]:
         earlier = range(first)
-        for v in range(first, first + size):
+        for _ in range(size):
             chosen = [u for u in earlier if draw() < edge_density]
             if not chosen:
-                chosen = [rng.choice(earlier)]
-            if len(chosen) > max_indegree:
-                chosen = sorted(rng.sample(chosen, max_indegree))
-            edges.extend((u, v) for u in chosen)
+                preds.append((rng.choice(earlier),))
+            elif len(chosen) > max_indegree:
+                preds.append(tuple(sorted(rng.sample(chosen, max_indegree))))
+            else:
+                preds.append(tuple(chosen))
         first += size
-    return NetworkTopology(
-        layer_sizes=layer_sizes, edges=tuple(sorted(edges)), max_indegree=max_indegree
-    )
+    return NetworkTopology._from_preds(layer_sizes, tuple(preds), max_indegree)
 
 
 @dataclass(frozen=True)
@@ -247,18 +288,22 @@ class RandomSubstitution:
         _check_prob(self.prob)
 
     def corrupt(self, edge: Edge, packet: Packet, q: int, rng: random.Random) -> Packet | None:
-        out = []
-        for s in packet:
-            if rng.random() < self.prob:
+        """The packet itself when no draw hit; a hit always changes its symbol."""
+        draw = rng.random
+        prob = self.prob
+        out = None
+        for i in range(len(packet)):
+            if draw() < prob:
                 if q < 3:
                     raise ValueError(
                         f"random substitution needs q >= 3: F_{q} has no other nonzero symbol"
                     )
+                if out is None:
+                    out = list(packet)
                 # uniform over the q - 2 nonzero symbols other than s
                 x = rng.randrange(1, q - 1)
-                s = x + (x >= s)
-            out.append(s)
-        return tuple(out)
+                out[i] = x + (x >= packet[i])
+        return packet if out is None else tuple(out)
 
 
 @dataclass(frozen=True)
@@ -275,7 +320,7 @@ class TargetedSubstitution:
 
     def corrupt(self, edge: Edge, packet: Packet, q: int, rng: random.Random) -> Packet | None:
         for rule_edge, old, new in self.rules:
-            if rule_edge == edge:
+            if rule_edge == edge and old in packet:
                 packet = tuple(new if s == old else s for s in packet)
         return packet
 
@@ -319,9 +364,48 @@ def apply_adversary(
     return out
 
 
-def _adversary_rng(model: Adversary, trial_seed: int) -> random.Random:
-    base = getattr(model, "seed", 0)
+def _adversary_rng(model: Adversary, trial_seed: int) -> random.Random | None:
+    """The trial's seeded draws for a model with a ``seed`` field; None for one that never draws."""
+    base = getattr(model, "seed", None)
+    if base is None:
+        return None
     return random.Random(f"adversary:{base}:{trial_seed}")
+
+
+def check_adversary(model: Adversary, layer_sizes: Sequence[int], q: int) -> None:
+    """Raise ValueError naming the first rule or listed edge no trial can use.
+
+    A rule's old and new symbols must be nonzero elements of F_q, and
+    every edge (u, v) must run from an earlier layer to a later one, with
+    v no later than the sink.  O(rules + edges); a model with neither
+    returns at once.
+    """
+    rules = getattr(model, "rules", ())
+    edges = getattr(model, "edges", ())
+    if not (rules or edges):
+        return
+    starts = list(itertools.accumulate(layer_sizes, initial=0))
+    sink = starts[-1] - 1
+
+    def edge_fault(u: int, v: int) -> str | None:
+        if v > sink:
+            return f"edge ({u}, {v}) ends past the sink, node {sink}"
+        # bisect_right(starts, x) - 1 is the layer of node x
+        if u < 0 or bisect.bisect_right(starts, u) >= bisect.bisect_right(starts, v):
+            return f"edge ({u}, {v}) does not go to a later layer"
+        return None
+
+    for i, (edge, old, new) in enumerate(rules):
+        fault = edge_fault(*edge)
+        for name, symbol in (("old", old), ("new", new)):
+            if fault is None and not 1 <= symbol < q:
+                fault = f"{name} symbol {symbol} is not a nonzero element of F_{q}"
+        if fault:
+            raise ValueError(f"rules[{i}]: {fault}")
+    for i, edge in enumerate(edges):
+        fault = edge_fault(*edge)
+        if fault:
+            raise ValueError(f"edges[{i}]: {fault}")
 
 
 # ---------------------------------------------------------------------------
@@ -380,18 +464,23 @@ def run_trial(
     emitted: list[Packet | None] = [None] * topology.node_count
     emitted[topology.source] = source_encode(transmitted, symbol_map)
     packets: list[Packet] = []
+    intact = False
     # the last node is the sink, so the loop ends holding what reached it;
     # ascending predecessors are the sorted in-edge order of apply_adversary
     for v in range(1, sink + 1):
         packets = []
         for u in preds[v]:
-            packet = emitted[u]
-            if packet is not None:
-                packet = corrupt((u, v), packet, q, rng)
+            sent = emitted[u]
+            if sent is not None:
+                packet = corrupt((u, v), sent, q, rng)
                 if packet is not None:
+                    if not packets:
+                        intact = packet is sent
                     packets.append(packet)
         if packets and v != sink:
-            emitted[v] = node_process(packets, k)
+            # an emitted packet holds k distinct nonzero symbols, so when the
+            # first one arrives untouched, dedup would return it unchanged
+            emitted[v] = packets[0] if intact else node_process(packets, k)
 
     if not packets:
         return TrialResult(
@@ -443,6 +532,10 @@ class TopologySpec:
     def __post_init__(self):
         _check_topology(self.layers, self.width, self.max_indegree, self.edge_density)
 
+    @property
+    def layer_sizes(self) -> tuple[int, ...]:
+        return _layer_sizes(self.layers, self.width)
+
 
 @dataclass
 class ExperimentStats:
@@ -476,9 +569,12 @@ def run_experiment(
 ) -> ExperimentStats:
     """Seeded batch of independent trials with per-outcome counts.
 
-    A code of one codeword has no minimum distance, so no guarantee to
+    The adversary is checked once against the run's layer sizes and q
+    (``check_adversary``); every DAG of the run has the same layers.  A
+    code of one codeword has no minimum distance, so no guarantee to
     check: its ``guarantee_violations`` stays 0.
     """
+    check_adversary(adversary, topology.layer_sizes, symbol_map.q)
     stats = ExperimentStats()
     has_distance = len(code) > 1
     for t in range(trials):

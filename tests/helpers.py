@@ -303,3 +303,14 @@ def reference_trial(topology, code, pool, symbol_map, adversary, message_index, 
         transmitted, outcome, len(set(recovered.indices) - set(transmitted)),
         k - len(recovered.indices), recovered.indices, decoded, len(result.candidates), pool,
     )
+
+
+def random_substitution_oracle(prob, packet, q, rng):
+    """``RandomSubstitution.corrupt`` as one draw per symbol into a fresh tuple."""
+    out = []
+    for s in packet:
+        if rng.random() < prob:
+            x = rng.randrange(1, q - 1)
+            s = x + (x >= s)
+        out.append(s)
+    return tuple(out)

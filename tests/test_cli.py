@@ -308,10 +308,25 @@ TOPOLOGY = '{"layers":2,"width":1}'
         (("--topology", TOPOLOGY, "--adversary", '{"type":"random_substitution","prob":2}'), "--adversary", "prob"),
         (("--topology", TOPOLOGY, "--adversary", '{"type":"edge_erasure","prob":-0.5}'), "--adversary", "prob"),
         (("--topology", TOPOLOGY, "--adversary", '{"type":"none","prob":0.1}'), "--adversary", "'prob'"),
+        (("--topology", TOPOLOGY, "--adversary", '{"type":"targeted_substitution","rules":['
+          '{"edge":[0,1],"old":1,"new":99},{"edge":[5,9],"old":2,"new":-3}]}'),
+         "--adversary", "bad adversary document: rules[0]: new symbol 99 is not a nonzero element of F_11"),
+        (("--topology", TOPOLOGY, "--adversary",
+          '{"type":"targeted_substitution","rules":[{"edge":[0,1],"old":-3,"new":2}]}'),
+         "--adversary", "bad adversary document: rules[0]: old symbol -3 is not a nonzero element of F_11"),
+        (("--topology", TOPOLOGY, "--adversary",
+          '{"type":"targeted_substitution","rules":[{"edge":[5,9],"old":2,"new":3}]}'),
+         "--adversary", "bad adversary document: rules[0]: edge (5, 9) ends past the sink, node 1"),
+        (("--topology", TOPOLOGY, "--adversary", '{"type":"edge_erasure","edges":[[0,1],[7,3]]}'),
+         "--adversary", "bad adversary document: edges[1]: edge (7, 3) ends past the sink, node 1"),
+        (("--topology", '{"layers":6,"width":4}', "--adversary", '{"type":"edge_erasure","edges":[[7,3]]}'),
+         "--adversary", "bad adversary document: edges[0]: edge (7, 3) does not go to a later layer"),
     ],
     ids=["topology-int", "topology-empty", "topology-old-key", "topology-str-field",
          "topology-bool-field", "adversary-list",
-         "substitution-prob", "erasure-prob", "adversary-unknown-key"],
+         "substitution-prob", "erasure-prob", "adversary-unknown-key",
+         "rule-symbol-outside-field", "rule-symbol-negative", "rule-edge-past-sink",
+         "erasure-edge-past-sink", "erasure-edge-backwards"],
 )
 def test_simulate_malformed_flags(capsys, flags, flag, field):
     rc, _, err = run(capsys, "simulate", "--sample", *flags, "--trials", "1")

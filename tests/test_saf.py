@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwlattice import saf
 from cwlattice.code import ConstantWeightCode, DecodeResult
@@ -14,6 +16,7 @@ from cwlattice.saf import (
     TargetedSubstitution,
     TopologySpec,
     apply_adversary,
+    check_adversary,
     node_process,
     random_dag,
     run_experiment,
@@ -21,7 +24,7 @@ from cwlattice.saf import (
     sink_recover,
     source_encode,
 )
-from helpers import reference_trial
+from helpers import random_substitution_oracle, reference_trial
 
 DIRECT = NetworkTopology(layer_sizes=(1, 1), edges=((0, 1),), max_indegree=1)
 
@@ -65,6 +68,9 @@ def test_topology_validation():
         NetworkTopology(layer_sizes=(1, 2, 1), edges=((0, 1), (0, 2)), max_indegree=2)
     with pytest.raises(ValueError, match="distinct"):
         NetworkTopology(layer_sizes=(1, 1), edges=((0, 1), (0, 1)), max_indegree=2)
+    for edge in ((0, 5), (-1, 1)):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            NetworkTopology(layer_sizes=(1, 1), edges=(edge,), max_indegree=2)
 
 
 def _preds_oracle(topo):
@@ -85,6 +91,33 @@ def test_preds_are_sorted_predecessors():
     assert topo.preds == ((), (0,), (0,), (1, 2))
     assert list(topo.preds) == _preds_oracle(topo)
     assert topo.in_edges(3) == ((1, 3), (2, 3))
+
+
+# layers, width, max_indegree, edge_density: width 1, max_indegree 1 and densities 0 and 1 included
+TRUSTED_SHAPES = [
+    (layers, width, indegree, density)
+    for layers in (2, 3, 5, 8)
+    for width in (1, 2, 5)
+    for indegree in (1, 2, 4)
+    for density in (0.0, 0.3, 1.0)
+]
+
+
+def test_random_dag_matches_the_checking_constructor():
+    rng = random.Random("trusted")
+    shapes = 0
+    for layers, width, indegree, density in TRUSTED_SHAPES:
+        for _ in range(3):
+            topo = random_dag(layers, width, indegree, density, seed=rng.randrange(2 ** 32))
+            checked = NetworkTopology(
+                layer_sizes=topo.layer_sizes, edges=topo.edges, max_indegree=topo.max_indegree
+            )
+            assert checked == topo
+            assert checked.preds == topo.preds
+            assert checked.edges == topo.edges == tuple(sorted(topo.edges))
+            assert all(checked.in_edges(v) == topo.in_edges(v) for v in range(topo.node_count))
+            shapes += 1
+    assert shapes >= 300
 
 
 def test_symbol_map_defaults():
@@ -119,6 +152,17 @@ def test_node_process_examples():
     assert node_process([(3, 5, 2, 7), (3, 5, 2, 7)], 4) == (3, 5, 2, 7)
     assert node_process([(3, 5, 2, 7), (1, 5, 9, 4)], 4) == (3, 5, 2, 7)
     assert node_process([(3, 3, 3, 3)], 4) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_node_process_forwards_a_packet_of_k_distinct_symbols(data):
+    # what run_trial relies on to forward an untouched first packet as it is
+    q = data.draw(st.sampled_from((3, 5, 11, 101)))
+    symbols = st.integers(0, q - 1)
+    packet = tuple(data.draw(st.lists(st.integers(1, q - 1), min_size=1, unique=True)))
+    rest = data.draw(st.lists(st.lists(symbols, max_size=6).map(tuple), max_size=4))
+    assert node_process([packet, *rest], len(packet)) == packet
 
 
 def test_node_process_idempotent():
@@ -180,6 +224,36 @@ def test_adversary_prob_must_lie_in_unit_interval(model):
             model(prob=prob)
 
 
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        (TargetedSubstitution(rules=(((0, 1), 1, 99),)), r"rules\[0\]: new symbol 99 is not a nonzero"),
+        (TargetedSubstitution(rules=(((0, 1), 1, 2), ((0, 1), -3, 2))), r"rules\[1\]: old symbol -3"),
+        (TargetedSubstitution(rules=(((5, 9), 2, 3),)), r"rules\[0\]: edge \(5, 9\) ends past the sink"),
+        (EdgeErasure(edges=((0, 1), (7, 3))), r"edges\[1\]: edge \(7, 3\) does not go to a later"),
+        (EdgeErasure(edges=((1, 2),)), r"edges\[0\]: edge \(1, 2\) does not go to a later"),
+        (EdgeErasure(edges=((-1, 4),)), r"edges\[0\]: edge \(-1, 4\) does not go to a later"),
+    ],
+)
+def test_check_adversary_names_the_bad_rule(model, message):
+    # layers (1, 3, 3, 1): nodes 1-3 and 4-6 in the middle, sink 7
+    with pytest.raises(ValueError, match=message):
+        check_adversary(model, (1, 3, 3, 1), 11)
+
+
+def test_check_adversary_accepts_what_a_run_can_use(code744, pool744):
+    for model in (
+        NoAdversary(), RandomSubstitution(0.5), EdgeErasure(0.1),
+        EdgeErasure(edges=((0, 7), (3, 4), (6, 7))),
+        TargetedSubstitution(rules=(((0, 1), 1, 10), ((2, 5), 10, 1))),
+    ):
+        check_adversary(model, (1, 3, 3, 1), 11)
+    spec = TopologySpec(4, 3, 3)
+    with pytest.raises(ValueError, match="past the sink"):
+        run_experiment(code744, pool744, SymbolMap.default(7), spec,
+                       EdgeErasure(edges=((3, 8),)), trials=0)
+
+
 def test_erasure_leaves_disjoint_path_intact(code744, pool744):
     # two parallel source->middle->sink paths; erase one of them
     topo = NetworkTopology(
@@ -198,15 +272,25 @@ REFERENCE_ADVERSARIES = (
     RandomSubstitution(0.2, seed=3),
     EdgeErasure(0.2, edges=((0, 1),), seed=4),
     TargetedSubstitution(rules=(((0, 1), 1, 2), ((0, 2), 3, 5), ((1, 4), 2, 7))),
+    RandomSubstitution(0.0, seed=5),
+    RandomSubstitution(1.0, seed=6),
+    EdgeErasure(1.0, seed=7),
 )
+REFERENCE_IDS = ("none", "random_substitution", "edge_erasure", "targeted_substitution",
+                 "random_substitution_never", "random_substitution_always", "edge_erasure_always")
+# the one outcome of a model that never or always acts; the others reach SUCCESS and more
+REFERENCE_OUTCOMES = {
+    "random_substitution_never": Outcome.SUCCESS,
+    "edge_erasure_always": Outcome.NODE_FAILURE,
+}
 # layers, width, max_indegree, edge_density
 REFERENCE_SHAPES = ((2, 1, 1, 0.5), (4, 3, 3, 0.5), (6, 4, 3, 0.2), (5, 5, 2, 0.9), (8, 6, 3, 0.1))
 
 
-@pytest.mark.parametrize("adversary", REFERENCE_ADVERSARIES, ids=lambda a: a.kind)
-def test_run_trial_matches_reference_trial(code744, pool744, adversary):
+@pytest.mark.parametrize("adversary, name", zip(REFERENCE_ADVERSARIES, REFERENCE_IDS), ids=REFERENCE_IDS)
+def test_run_trial_matches_reference_trial(code744, pool744, adversary, name):
     smap = SymbolMap.default(7)
-    rng = random.Random(f"reference:{adversary.kind}")
+    rng = random.Random(f"reference:{name}")
     outcomes = set()
     for layers, width, indegree, density in REFERENCE_SHAPES:
         for _ in range(40):
@@ -217,6 +301,9 @@ def test_run_trial_matches_reference_trial(code744, pool744, adversary):
             assert got == want
             assert got.decoded_element == want.decoded_element
             outcomes.add(got.outcome)
+    if name in REFERENCE_OUTCOMES:
+        assert outcomes == {REFERENCE_OUTCOMES[name]}
+        return
     assert Outcome.SUCCESS in outcomes
     if adversary.kind != "none":
         assert len(outcomes) > 1
@@ -238,6 +325,37 @@ def test_decoded_element_is_composed_only_when_read(code744, pool744):
     assert CountingPool.calls == 1
     bare = run_trial(DIRECT, code744, None, smap, NoAdversary(), message_index=3)
     assert bare == result and bare.decoded_element is None
+
+
+@pytest.mark.parametrize("prob", [0.0, 0.05, 0.3, 1.0])
+def test_random_substitution_returns_its_input_exactly_when_unchanged(prob):
+    packets, ours, theirs = random.Random(prob), random.Random(prob), random.Random(prob)
+    model = RandomSubstitution(prob)
+    kept = 0
+    for _ in range(300):
+        packet = tuple(packets.sample(range(1, 11), 4))
+        got = model.corrupt((0, 1), packet, 11, ours)
+        assert got == random_substitution_oracle(prob, packet, 11, theirs)
+        assert (got is packet) == (got == packet)
+        assert ours.getstate() == theirs.getstate()
+        kept += got is packet
+    assert (kept == 300) == (prob == 0.0) and (kept == 0) == (prob == 1.0)
+
+
+def test_corrupt_returns_its_input_when_it_changes_nothing():
+    packet, rng = (1, 2, 3, 6), random.Random(0)
+    targeted = TargetedSubstitution(rules=(((0, 2), 1, 5), ((0, 1), 4, 5)))
+    for model in (NoAdversary(), targeted, EdgeErasure(0.0, edges=((0, 2),))):
+        assert model.corrupt((0, 1), packet, 11, rng) is packet
+    assert targeted.corrupt((0, 2), packet, 11, rng) == (5, 2, 3, 6)
+
+
+def test_only_models_with_a_seed_get_an_rng():
+    assert saf._adversary_rng(NoAdversary(), 3) is None
+    assert saf._adversary_rng(TargetedSubstitution(rules=(((0, 1), 1, 2),)), 3) is None
+    for model in (RandomSubstitution(0.1, seed=4), EdgeErasure(0.1, seed=4)):
+        rng = saf._adversary_rng(model, 3)
+        assert rng.getstate() == random.Random("adversary:4:3").getstate()
 
 
 def test_random_substitution_over_f2_names_q():
