@@ -1,6 +1,6 @@
 """Command line interface.
 
-    cwlattice pool      --sample | --file pool.json [--compose 0,1,2,5] [--decompose HEX]
+    cwlattice pool      --sample | --file pool.json [--compose 0,1,2,5] [--decompose HEX | c0,c1,...]
     cwlattice bounds    --n 7 --k 4 --d 4 [--json]
     cwlattice search    --n 8 --k 4 --d 4 [--exact] [--count] [--cap N] [--timeout S] [--out code.json]
     cwlattice decode    (--code code.json | --sample-code) --received 1,3,6
@@ -22,6 +22,7 @@ import sys
 from cwlattice import bounds as bounds_mod
 from cwlattice import cliques, data, saf
 from cwlattice.code import ConstantWeightCode, decode
+from cwlattice.gf import Polynomial
 from cwlattice.lattice import (
     FiniteLattice,
     MultiplicationTable,
@@ -153,14 +154,27 @@ def _load(kind: str, build, where: str, text: str | None = None):
         raise SchemaError(f"{bad}: {exc}") from None
 
 
-def _parse_indices(text: str) -> tuple[int, ...]:
+def _parse_indices(text: str, flag: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise SchemaError(f"expected comma-separated integers, got {text!r}") from None
+        raise SchemaError(f"{flag}: expected comma-separated integers, got {text!r}") from None
+
+
+def _parse_element(pool, text: str):
+    """A --decompose value: hex for p = 2, else coefficients lowest degree
+    first, the forms element_to_json writes."""
+    if pool.backend != "poly":
+        raise SchemaError("--decompose needs a poly pool")
+    if pool.field.p != 2:
+        return Polynomial(pool.field, _parse_indices(text, "--decompose"))
+    try:
+        return Polynomial.from_hex(text, pool.field)
+    except ValueError as exc:
+        raise SchemaError(f"--decompose: {exc}") from None
 
 
 def _emit(obj, args, text_lines=None) -> None:
@@ -186,8 +200,8 @@ def cmd_pool(args) -> int:
     if pool.backend == "poly":
         for i, f in enumerate(pool.constituents):
             lines.append(f"  [{i}] {pool.element_to_json(f)}")
-    if args.compose:
-        subset = _parse_indices(args.compose)
+    if args.compose is not None:
+        subset = _parse_indices(args.compose, "--compose")
         element = pool.compose(subset)
         if pool.backend == "poly":
             shown = pool.element_to_json(element)
@@ -195,15 +209,12 @@ def cmd_pool(args) -> int:
             shown = sorted(element)
         result["compose"] = {"subset": list(subset), "element": shown}
         lines.append(f"compose {list(subset)} -> {shown}")
-    if args.decompose:
-        from cwlattice.gf import Polynomial
-
-        if pool.backend != "poly" or pool.field.p != 2:
-            raise SchemaError("--decompose takes a hex string, needs a binary poly pool")
-        element = Polynomial.from_hex(args.decompose, pool.field)
+    if args.decompose is not None:
+        element = _parse_element(pool, args.decompose)
         subset = pool.decompose(element)
-        result["decompose"] = {"element": args.decompose, "subset": list(subset)}
-        lines.append(f"decompose {args.decompose} -> {list(subset)}")
+        shown = pool.element_to_json(element)
+        result["decompose"] = {"element": shown, "subset": list(subset)}
+        lines.append(f"decompose {shown} -> {list(subset)}")
     _emit(result, args, lines)
     return 0
 
@@ -283,7 +294,7 @@ def cmd_decode(args) -> int:
         code = data.sample_code()
     else:
         code = _load("code", ConstantWeightCode.from_json, args.code)
-    received = _parse_indices(args.received)
+    received = _parse_indices(args.received, "--received")
     result = decode(received, code)
     payload = {
         "received": sorted(received),
@@ -449,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--file", help="pool JSON document")
     src.add_argument("--sample", action="store_true", help="use the bundled sample pool")
     p.add_argument("--compose", metavar="I,J,...", help="compose an index subset")
-    p.add_argument("--decompose", metavar="HEX", help="decompose a binary element")
+    p.add_argument("--decompose", metavar="ELEMENT",
+                   help="decompose an element: hex for p = 2, else coefficients c0,c1,...")
     _common_output(p)
     p.set_defaults(func=cmd_pool)
 

@@ -18,7 +18,9 @@ width w follows one rule, ``_slot_width``: a slot starts at most p - 1
 and takes at most ``terms`` products of two residues, so it stays
 below 2**w for w = bit_length((p-1) + terms*(p-1)**2).  Long division
 adds (p - c)*b*X^shift instead of subtracting c*b*X^shift: slots only
-grow, so no borrow ever crosses a slot boundary.
+grow, so no borrow ever crosses a slot boundary.  ``_mod_slots`` reduces
+every slot of a packed value mod p at once, by one multiplication with
+a fixed-point inverse of p, in slots wide enough that it is exact.
 
 Binary polynomials additionally support a compact hexadecimal codec:
 the coefficients are read highest degree first as a binary string,
@@ -35,6 +37,7 @@ and log p.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Iterator, Sequence
 
@@ -121,6 +124,31 @@ def _unpack(value: int, slots: int, w: int) -> list[int]:
     return [value >> i * w & mask for i in range(slots)]
 
 
+@functools.lru_cache(maxsize=64)
+def _slot_quotient_constants(slots: int, w: int, p: int) -> tuple[int, int, int]:
+    """(s, m, low) for ``_mod_slots``: low has the bits [0, w) of each slot set."""
+    s = w + p.bit_length()
+    return s, -(-(1 << s) // p), _pack([(1 << w) - 1] * slots, w + s)
+
+
+def _mod_slots(value: int, slots: int, w: int, p: int) -> int:
+    """Every slot of a packed value reduced mod p, all slots at once.
+
+    Slots are w + s bits wide, s = w + bitlen(p), and each holds some
+    x < 2**w; the result has the same layout.  With m = ceil(2**s / p),
+    floor(x*m / 2**s) is floor(x / p) exactly: write p*m = 2**s + e with
+    0 <= e < p, so x*m / 2**s = x/p + x*e / (p * 2**s), and the error
+    term is below 2**w / 2**s = 2**-bitlen(p) < 1/p.  For x = q*p + r
+    with r <= p - 1 the sum thus lies in [q, q + 1).  Since m <= 2**s,
+    x*m < 2**(w + s) stays inside its slot, so one product of the packed
+    value by m multiplies every slot; shifting by s and keeping the low
+    w bits of each slot reads off every quotient, and subtracting p
+    times them leaves every remainder without a borrow.
+    """
+    s, m, low = _slot_quotient_constants(slots, w, p)
+    return value - p * (value * m >> s & low)
+
+
 def _divmod_packed(a: int, top: int, b: int, n: int, inv: int, p: int, w: int) -> tuple[int, int]:
     """Long division of packed ``a`` (slots 0..top) by packed ``b`` (n slots).
 
@@ -144,16 +172,6 @@ def _divmod_packed(a: int, top: int, b: int, n: int, inv: int, p: int, w: int) -
             # becomes a multiple of p that no later step reads
             a += (p - c) * b << pos
     return q, a & ((1 << lead) - 1)
-
-
-def _exact_quotient(a: int, top: int, b: int, n: int, inv: int, p: int, w: int) -> int | None:
-    """Packed a / b when b divides a, else None; arguments as for _divmod_packed."""
-    q, rem = _divmod_packed(a, top, b, n, inv, p, w)
-    mask = (1 << w) - 1
-    for i in range(n - 1):
-        if (rem >> i * w & mask) % p:
-            return None
-    return q
 
 
 def _reduced(coeffs: Iterable[int], p: int) -> list[int]:

@@ -7,9 +7,12 @@ distinct squarefree products of distinct irreducibles are distinct.
 
 Two backends are provided.  PolynomialPool holds monic irreducible
 polynomials over one prime field and composes by multiplying the
-generators in one product of packed ints; decomposition divides the
-packed element by each constituent in turn.  SubsetPool is the
-purely combinatorial backend where elements are the index sets
+generators in one product of packed ints.  It decomposes in one
+residue pass: row j, cached, packs X^j mod every constituent side by
+side, so the sum of the element's coefficients times the rows packs
+its remainder mod every constituent, and a constituent divides the
+element when its block of slots reduces to zero mod p.  SubsetPool is
+the purely combinatorial backend where elements are the index sets
 themselves.
 """
 
@@ -22,7 +25,7 @@ from cwlattice.code import validated_indices
 from cwlattice.gf import (
     Polynomial,
     PrimeField,
-    _exact_quotient,
+    _mod_slots,
     _pack,
     _slot_width,
     _unpack,
@@ -61,9 +64,26 @@ class PolynomialPool:
         self.constituents = constituents
         # slot width -> the constituents packed at that width
         self._packed: dict[int, tuple[int, ...]] = {}
-        # decompose divides dividends with reduced slots (the element, then
-        # quotients) by constituents of at most this many coefficients
-        self._division_width = _slot_width(field.p, max(len(f.coeffs) for f in constituents))
+        self._degrees = tuple(f.degree for f in constituents)
+        self._total = sum(self._degrees)
+        # a residue-pass slot sums at most total + 1 products of two
+        # residues; _mod_slots wants slots of w + s bits, s = w + bitlen(p)
+        self._sum_width = w = _slot_width(field.p, self._total + 1)
+        self._row_width = width = 2 * w + field.p.bit_length()
+        # block i holds the residue mod constituent i, one slot per
+        # coefficient below its degree; _folds has, per block, the bit
+        # offset of its top slot and f_i's lower coefficients packed in
+        # place, and _tops masks every block's top slot
+        blocks, folds, start = [], [], 0
+        for f, d in zip(constituents, self._degrees):
+            blocks.append(((1 << d * width) - 1) << start * width)
+            folds.append(((start + d - 1) * width, _pack(f.coeffs[:-1], width) << start * width))
+            start += d
+        self._blocks, self._folds = tuple(blocks), tuple(folds)
+        self._tops = sum(1 << shift for shift, _ in folds) * ((1 << width) - 1)
+        # row j: the residues X^j mod every constituent, built on first
+        # need; row 0 is a 1 in every block's lowest slot
+        self._rows = [sum(block & -block for block in blocks)]
 
     @property
     def n(self) -> int:
@@ -88,41 +108,61 @@ class PolynomialPool:
             value *= packed[i]
         return Polynomial(self.field, _unpack(value, sum(lengths) - len(lengths) + 1, w))
 
+    def _rows_to(self, degree: int) -> list[int]:
+        """The residue rows 0..degree (and any built before)."""
+        rows, p, width = self._rows, self.field.p, self._row_width
+        mask = (1 << width) - 1
+        while len(rows) <= degree:
+            # X * (X^j mod f) mod f: every slot moves up one; a block's top
+            # slot t leaves it and comes back as (p - t) times f's lower part
+            tops = rows[-1] & self._tops
+            row = (rows[-1] ^ tops) << width
+            for shift, lower in self._folds:
+                t = tops >> shift & mask
+                if t:
+                    row += (p - t) * lower
+            rows.append(_mod_slots(row, self._total, self._sum_width, p))
+        return rows
+
     def decompose(self, element: Polynomial) -> tuple[int, ...]:
         """The unique index subset whose compose equals the element.
 
-        The element is packed once and divided in packed form by each
-        constituent in turn, stopping once the quotient is constant.  The
-        unit element decomposes to the empty subset.
+        One residue pass finds every constituent that divides the
+        element: the sum of c_j times row j over the element's
+        coefficients c_j holds, in block i, the remainder mod f_i, and
+        one slot reduction mod p shows which blocks are zero.  The
+        element decomposes exactly when it is monic and the degrees of
+        its constituent divisors sum to its degree, since distinct monic
+        irreducibles are coprime.  The unit element decomposes to the
+        empty subset.
         """
         if element.field != self.field:
             raise ValueError("element is not defined over the pool's field")
         if not element:
             raise NotDecomposableError("the zero polynomial is not decomposable")
-        p, w = self.field.p, self._division_width
-        packed = self._packed_at(w)
-        remaining, top = _pack(element.coeffs, w), element.degree
-        found = []
-        for i, f in enumerate(self.constituents):
-            if top < 1:
-                break
-            # constituents are monic, so the lead inverse is 1
-            q = _exact_quotient(remaining, top, packed[i], f.degree + 1, 1, p, w)
-            if q is not None:
-                found.append(i)
-                remaining, top = q, top - f.degree
-        if remaining != 1:  # packed, the unit polynomial is the int 1
-            # the constituents are coprime, so one still dividing the
-            # rest is exactly one that divides the element twice
-            for i in found:
-                n = self.constituents[i].degree + 1
-                if _exact_quotient(remaining, top, packed[i], n, 1, p, w) is not None:
-                    raise NotSquarefreeError(
-                        f"constituent #{i} divides the element more than once"
-                    )
-            factor = Polynomial(self.field, _unpack(remaining, top + 1, w))
-            raise NotDecomposableError(f"factor {factor!r} is not a pool constituent")
-        return tuple(found)
+        coeffs = element.coeffs
+        if element.degree > self._total:
+            # the constituents divide the element exactly when they divide
+            # its remainder mod their product, which keeps every slot sum
+            # within total + 1 products and the rows within total + 1
+            coeffs = (element % self.compose(range(self.n))).coeffs
+        acc = 0
+        for c, row in zip(coeffs, self._rows_to(len(coeffs) - 1)):
+            if c:  # skip the product for a 1, every nonzero digit over GF(2)
+                acc += row if c == 1 else c * row
+        residues = _mod_slots(acc, self._total, self._sum_width, self.field.p)
+        found = [i for i, block in enumerate(self._blocks) if not residues & block]
+        if element.is_monic and sum(self._degrees[i] for i in found) == element.degree:
+            return tuple(found)
+        remaining = element
+        for i in found:
+            remaining //= self.constituents[i]
+        # the constituents are coprime, so one still dividing the rest is
+        # exactly one that divides the element twice
+        for i in found:
+            if not remaining % self.constituents[i]:
+                raise NotSquarefreeError(f"constituent #{i} divides the element more than once")
+        raise NotDecomposableError(f"factor {remaining!r} is not a pool constituent")
 
     def element_to_json(self, f: Polynomial):
         """An element as documents write it: hex for p = 2, else a coefficient list."""

@@ -53,6 +53,39 @@ def test_pool_sample_compose_decompose(capsys):
     assert pool.n == 7
 
 
+def test_pool_decompose_bad_hex_names_the_flag(capsys):
+    rc, out, err = run(capsys, "pool", "--sample", "--decompose", "zz")
+    assert rc == 2 and out == ""
+    assert err == "error: --decompose: invalid hex string 'zz'\n"
+
+
+def test_pool_empty_values_are_not_ignored(capsys):
+    rc, out, err = run(capsys, "pool", "--sample", "--decompose", "")
+    assert rc == 2 and out == ""
+    assert err == "error: --decompose: invalid hex string ''\n"
+    # the empty subset is given, and rejected by compose
+    rc, out, err = run(capsys, "pool", "--sample", "--compose", "")
+    assert rc == 1 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_pool_gf3_round_trip(tmp_path, capsys):
+    path = tmp_path / "pool.json"
+    path.write_text(json.dumps({"backend": "poly", "p": 3, "constituents": [[0, 1], [1, 1], [1, 0, 1]]}))
+    rc, out, _ = run(capsys, "pool", "--file", str(path), "--compose", "0,2", "--json")
+    assert rc == 0
+    element = json.loads(out)["compose"]["element"]
+    assert element == [0, 1, 0, 1]
+    # the coefficients --compose prints, lowest degree first, decompose back
+    given = ",".join(map(str, element))
+    rc, out, _ = run(capsys, "pool", "--file", str(path), "--decompose", given, "--json")
+    assert rc == 0
+    assert json.loads(out)["decompose"] == {"element": element, "subset": [0, 2]}
+    rc, _, err = run(capsys, "pool", "--file", str(path), "--decompose", "0,1,x")
+    assert rc == 2
+    assert err == "error: --decompose: expected comma-separated integers, got '0,1,x'\n"
+
+
 def test_pool_schema_error(tmp_path, capsys):
     bad = tmp_path / "pool.json"
     bad.write_text("{not json")

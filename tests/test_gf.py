@@ -5,6 +5,9 @@ import pytest
 from cwlattice.gf import (
     Polynomial,
     PrimeField,
+    _mod_slots,
+    _pack,
+    _unpack,
     is_irreducible,
     is_prime,
     monic_polynomials,
@@ -181,6 +184,17 @@ def test_operators_match_schoolbook_oracle(p):
             assert (q.coeffs, r.coeffs) == div
         assert a - a == zero
         assert (a - b) + b == a
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**61 - 1])
+def test_mod_slots_matches_slotwise_remainder(p):
+    rng = random.Random(p)
+    for w in (p.bit_length(), p.bit_length() + 1, p.bit_length() + 9):
+        width = 2 * w + p.bit_length()
+        slots = [0, p - 1, p, (1 << w) - 1] + [rng.randrange(1 << w) for _ in range(6)]
+        packed = _pack(slots, width)
+        want = [c % p for c in _unpack(packed, len(slots), width)]
+        assert _unpack(_mod_slots(packed, len(slots), w, p), len(slots), width) == want
 
 
 def test_irreducible_known_cases(f2):

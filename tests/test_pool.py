@@ -133,33 +133,76 @@ def outcome(decompose, pool, element):
         return type(exc), str(exc)
 
 
-@pytest.mark.parametrize("p, degrees", [(2, (2, 3, 4, 5)), (3, (1, 2, 3)), (5, (1, 2))])
-def test_decompose_matches_division_loop(p, degrees):
-    field = PrimeField(p)
-    irreducible = [f for d in degrees for f in monic_polynomials(field, d) if is_irreducible(f)]
-    rng = random.Random(7 + p)
-    rng.shuffle(irreducible)
-    pool, foreign = PolynomialPool(irreducible[:6]), irreducible[6:]
+def drawn_irreducibles(field, degrees, count, rng, first=()):
+    """``count`` distinct monic irreducibles of the given degrees, drawn at random."""
+    out = list(first)
+    while len(out) < count:
+        f = Polynomial(field, [rng.randrange(field.p) for _ in range(rng.choice(degrees))] + [1])
+        if f not in out and is_irreducible(f):
+            out.append(f)
+    return out
+
+
+def random_elements(pool, foreign, rng, trials=300):
+    """Products of constituents, some squared, cubed or times a foreign,
+    constant or non-monic factor, and the zero polynomial."""
+    field, p = pool.field, pool.field.p
     elements = [Polynomial.zero(field)]
-    for trial in range(300):
+    for trial in range(trials):
         chosen = sorted(rng.sample(range(pool.n), rng.randrange(0, pool.n + 1)))
         element = Polynomial.one(field)
         for i in chosen:
             element = element * pool.constituents[i]
-        extra = (None, "squared", "foreign", "constant")[trial % 4]
+        extra = (None, "squared", "foreign", "constant", "cubed", "non-monic")[trial % 6]
         if extra == "squared" and chosen:
             element = element * pool.constituents[rng.choice(chosen)]
         elif extra == "foreign":
             element = element * rng.choice(foreign)
         elif extra == "constant":
             element = element * Polynomial(field, (rng.randrange(1, p),))
+        elif extra == "cubed":
+            element = element * element * element
+        elif extra == "non-monic" and p > 2:
+            lower = [rng.randrange(p) for _ in range(rng.randrange(3))]
+            element = element * Polynomial(field, lower + [rng.randrange(2, p)])
         elements.append(element)
+    return elements
+
+
+BIG_PRIME = 100000000000031
+
+
+@pytest.mark.parametrize("p, degrees, with_x", [
+    (2, (2, 3, 4, 5), False),
+    (3, (1, 2, 3), False),
+    (5, (1, 2), False),
+    (2, (1, 2, 3, 4), True),
+    (7, (1, 2), True),
+    (BIG_PRIME, (1, 2), False),
+], ids=["2-degrees0", "3-degrees1", "5-degrees2", "2-with-x", "7-with-x", "big-prime"])
+def test_decompose_matches_division_loop(p, degrees, with_x):
+    field = PrimeField(p)
+    rng = random.Random(7 + p)
+    # X is the one constituent with a zero constant term
+    first = [Polynomial(field, (0, 1))] if with_x else []
+    irreducible = drawn_irreducibles(field, degrees, 8, rng, first)
+    pool, foreign = PolynomialPool(irreducible[:6]), irreducible[6:]
+    elements = random_elements(pool, foreign, rng)
+    assert max(e.degree for e in elements) > sum(f.degree for f in pool.constituents)
     seen = set()
     for element in elements:
         want = outcome(decompose_oracle, pool, element)
         assert outcome(PolynomialPool.decompose, pool, element) == want
         seen.add(want[0])
     assert seen == {"subset", NotSquarefreeError, NotDecomposableError}
+    # a fresh pool, highest degree first: rows cached by one call must not
+    # change the outcome of a later, shorter one
+    fresh = PolynomialPool(pool.constituents)
+    for element in sorted(elements, key=lambda e: -e.degree):
+        assert outcome(PolynomialPool.decompose, fresh, element) == outcome(decompose_oracle, fresh, element)
+    # an element above the total degree is reduced mod the product of all
+    # constituents first, which keeps every slot sum within its bound
+    assert len(fresh._rows) <= sum(f.degree for f in pool.constituents) + 1
 
 
 def test_full_alphabet_of_sample_code(pool744, code744):
