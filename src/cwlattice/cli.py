@@ -169,10 +169,12 @@ def _parse_element(pool, text: str):
     first, the forms element_to_json writes."""
     if pool.backend != "poly":
         raise SchemaError("--decompose needs a poly pool")
-    if pool.field.p != 2:
-        return Polynomial(pool.field, _parse_indices(text, "--decompose"))
+    if pool.field.p == 2:
+        read, value = Polynomial.from_hex, text
+    else:
+        read, value = Polynomial.from_coefficients, _parse_indices(text, "--decompose")
     try:
-        return Polynomial.from_hex(text, pool.field)
+        return read(value, pool.field)
     except ValueError as exc:
         raise SchemaError(f"--decompose: {exc}") from None
 
@@ -295,7 +297,10 @@ def cmd_decode(args) -> int:
     else:
         code = _load("code", ConstantWeightCode.from_json, args.code)
     received = _parse_indices(args.received, "--received")
-    result = decode(received, code)
+    try:
+        result = decode(received, code)
+    except ValueError as exc:
+        raise SchemaError(f"--received: {exc}") from None
     payload = {
         "received": sorted(received),
         "distance": result.distance,

@@ -6,7 +6,9 @@ distance is >= d, so cliques are exactly the (n, k, d) constant weight
 codes.  In "exact" mode adjacency requires distance exactly d, the
 generalized Johnson graph J(n, k, d/2).
 
-The build is bit-sliced.  For each ground element i one membership
+The build is bit-sliced, on the intersection-count kernel that the
+code module's decoder and minimum distance share
+(code._intersection_planes).  For each ground element i one membership
 bitset holds the vertices that contain i.  Adding the k membership
 bitsets of a vertex A with a ripple-carry bitwise counter gives
 k.bit_length() bit planes, which hold |A & B| for every vertex B at
@@ -46,7 +48,7 @@ import math
 import time
 from dataclasses import dataclass
 
-from cwlattice.code import ConstantWeightCode
+from cwlattice.code import ConstantWeightCode, _intersection_planes, _members
 
 MAX_GROUND_SET = 24
 MAX_VERTICES = 20000
@@ -98,22 +100,11 @@ def build_graph(n: int, k: int, d: int, exact: bool = False) -> CompatibilityGra
     target = k - d // 2
     adjacency = [0] * size
     if target >= 0:
-        # members[i] has bit v set when vertex v contains i, built as binary digits
-        digits = [bytearray(b"0") * size for _ in range(n)]
-        for v, subset in enumerate(vertices):
-            for i in subset:
-                digits[i][size - 1 - v] = ord("1")
-        members = [int(row, 2) for row in digits]
+        members = _members(vertices, n)
         width = k.bit_length()
         for a, subset in enumerate(vertices):
             # planes[j] holds bit j of |subset & vertex b| at bit b
-            planes = [0] * width
-            for i in subset:
-                carry = members[i]
-                for j in range(width):
-                    planes[j], carry = planes[j] ^ carry, planes[j] & carry
-                    if not carry:
-                        break
+            planes = _intersection_planes(members, subset, width)
             # compare with target from the top bit: equal so far, and already below
             equal, below = (1 << size) - 1, 0
             for j in reversed(range(width)):

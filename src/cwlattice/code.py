@@ -1,16 +1,26 @@
 """Constant weight codes as sets of k-subsets of an n-element ground set.
 
 The metric is the symmetric distance |A Δ B|, which is even between
-equal-size sets.  Codes keep each codeword as a bitmask too, and the
-minimum distance and the decoder take |A Δ B| as the popcount of the
-XOR of two masks.  Decoding is exhaustive minimum distance decoding;
-ties are surfaced as an ambiguous result rather than broken silently,
-since a tie is a detected error.
+equal-size sets.  For a set A and a k-set B it is |A| + k - 2|A ∩ B|,
+so the codewords nearest to A are the ones with the largest
+intersection with A.
+
+Intersections are counted bit-sliced, for every set of a family at
+once.  For each ground element i one membership bitset holds the sets
+that contain i.  Adding the membership bitsets of the elements of A
+with a ripple-carry bitwise counter gives k.bit_length() bit planes,
+which hold |A ∩ S| for every set S; scanning the planes from the top
+bit down keeps the sets with the largest count.  The compatibility
+graph build (cliques.build_graph), the minimum distance and the
+decoder all use this one kernel, `_intersection_planes`.
+
+Decoding is exhaustive minimum distance decoding; ties are surfaced as
+an ambiguous result rather than broken silently, since a tie is a
+detected error.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -21,9 +31,48 @@ def symmetric_distance(a: Iterable[int], b: Iterable[int]) -> int:
     return len(set(a) ^ set(b))
 
 
-def _mask(indices: Iterable[int]) -> int:
-    """The index set as a bitmask: bit i is set when i is in the set."""
-    return sum(1 << i for i in indices)
+def _members(sets: Sequence[Sequence[int]], n: int) -> list[int]:
+    """Membership bitsets: bit s of members[i] is set when sets[s] contains i."""
+    size = len(sets)
+    # written as binary digits: linear in the total size, where or-ing
+    # one bit at a time into growing integers is quadratic
+    digits = [bytearray(b"0") * size for _ in range(n)]
+    for s, subset in enumerate(sets):
+        for i in subset:
+            digits[i][size - 1 - s] = ord("1")
+    return [int(row, 2) for row in digits]
+
+
+def _intersection_planes(members: Sequence[int], subset: Iterable[int], width: int) -> list[int]:
+    """Bit j of |subset ∩ S| for every set S at once, as planes[j] at bit S.
+
+    The membership bitsets of subset's elements are added with a
+    ripple-carry bitwise counter.  Every count must fit in width bits,
+    so that no carry leaves the top plane.
+    """
+    planes = [0] * width
+    for i in subset:
+        carry = members[i]
+        j = 0
+        while carry:
+            plane = planes[j]
+            planes[j] = plane ^ carry
+            carry &= plane
+            j += 1
+    return planes
+
+
+def _largest(planes: Sequence[int], among: int) -> tuple[int, int]:
+    """The largest count in planes over the sets in the bitset among, and
+    the bitset of the sets that reach it, scanning from the top bit down."""
+    best = 0
+    for plane in reversed(planes):
+        best <<= 1
+        top = among & plane
+        if top:
+            among = top
+            best |= 1
+    return best, among
 
 
 def validated_indices(indices: Iterable[int], n: int) -> tuple[int, ...]:
@@ -40,7 +89,7 @@ def validated_indices(indices: Iterable[int], n: int) -> tuple[int, ...]:
 
 
 class ConstantWeightCode:
-    """An (n, k, N, d) catalog of k-subset codewords, their bitmasks and cached d_min."""
+    """An (n, k, N, d) catalog of k-subset codewords, their membership bitsets and cached d_min."""
 
     def __init__(self, n: int, codewords: Sequence[Iterable[int]]):
         if n < 1:
@@ -56,10 +105,20 @@ class ConstantWeightCode:
         self.n = n
         self.k = k
         self.codewords = tuple(cws)
-        self.masks = tuple(_mask(cw) for cw in cws)
-        self._d_min = min(
-            ((a ^ b).bit_count() for a, b in itertools.combinations(self.masks, 2)), default=None
+        self._ground = frozenset(range(n))
+        self._members = _members(cws, n)
+        self._width = k.bit_length()
+        # the largest intersection of each codeword with a later one;
+        # -(2 << s) keeps the codewords after s
+        everyone = (1 << len(cws)) - 1
+        closest = max(
+            (
+                _largest(_intersection_planes(self._members, cw, self._width), everyone & -(2 << s))[0]
+                for s, cw in enumerate(cws[:-1])
+            ),
+            default=None,
         )
+        self._d_min = None if closest is None else 2 * (k - closest)
 
     def __len__(self) -> int:
         return len(self.codewords)
@@ -124,15 +183,22 @@ class DecodeResult:
 
 
 def decode(received: Iterable[int], code: ConstantWeightCode) -> DecodeResult:
-    """Exhaustive arg-min of the symmetric distance over the code."""
+    """Exhaustive arg-min of the symmetric distance over the code.
+
+    The nearest codewords are those with the largest intersection with
+    the received set, read off its intersection planes.
+    """
     rec = set(received)
-    if rec and (min(rec) < 0 or max(rec) >= code.n):
+    if not rec <= code._ground:
         raise ValueError(f"received indices must lie in 0..{code.n - 1}")
-    mask = _mask(rec)
-    distances = [(mask ^ m).bit_count() for m in code.masks]
-    best = min(distances)
-    winners = tuple(cw for cw, d in zip(code.codewords, distances) if d == best)
-    return DecodeResult(distance=best, candidates=winners)
+    cws = code.codewords
+    planes = _intersection_planes(code._members, rec, code._width)
+    hits, winners = _largest(planes, (1 << len(cws)) - 1)
+    if winners & (winners - 1):
+        candidates = tuple(cw for s, cw in enumerate(cws) if winners >> s & 1)
+    else:
+        candidates = (cws[winners.bit_length() - 1],)
+    return DecodeResult(len(rec) + code.k - 2 * hits, candidates)
 
 
 def guaranteed_correctable(code: ConstantWeightCode, t_errors: int, e_erasures: int) -> bool:

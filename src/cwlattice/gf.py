@@ -285,6 +285,16 @@ class Polynomial:
             raise ValueError(f"invalid hex string {text!r}")
         return cls(field, _unpack(value, value.bit_length(), 1))
 
+    @classmethod
+    def from_coefficients(cls, coeffs: Sequence[int], field: PrimeField) -> "Polynomial":
+        """The polynomial with these coefficients, lowest degree first, as
+        documents write them; unlike the constructor, which reduces any
+        integer mod p, it refuses a coefficient outside 0..p-1."""
+        for c in coeffs:
+            if not 0 <= c < field.p:
+                raise ValueError(f"coefficient {c} is not in 0..{field.p - 1}")
+        return cls(field, coeffs)
+
     def __repr__(self) -> str:
         if not self.coeffs:
             return "Poly(0)"

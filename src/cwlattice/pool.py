@@ -175,13 +175,13 @@ class PolynomialPool:
     @classmethod
     def from_json(cls, obj: dict) -> "PolynomialPool":
         field = PrimeField(obj["p"])
-        raw = obj["constituents"]
         polys = []
-        for item in raw:
-            if isinstance(item, str):
-                polys.append(Polynomial.from_hex(item, field))
-            else:
-                polys.append(Polynomial(field, item))
+        for i, item in enumerate(obj["constituents"]):
+            read = Polynomial.from_hex if isinstance(item, str) else Polynomial.from_coefficients
+            try:
+                polys.append(read(item, field))
+            except ValueError as exc:
+                raise ValueError(f"constituents[{i}]: {exc}") from None
         return cls(polys)
 
     def __repr__(self) -> str:

@@ -9,7 +9,7 @@ import networkx as nx
 
 from cwlattice import saf
 from cwlattice.cliques import CompatibilityGraph
-from cwlattice.code import ConstantWeightCode, decode
+from cwlattice.code import ConstantWeightCode, DecodeResult, decode
 from cwlattice.lattice import FiniteLattice
 from cwlattice.pool import NotDecomposableError, NotSquarefreeError
 
@@ -251,6 +251,18 @@ def all_lattices(m: int):
             if i != j and rows[i] >> j & 1
         ]
         yield FiniteLattice(labels, order_pairs)
+
+
+def decode_oracle(received, code: ConstantWeightCode) -> DecodeResult:
+    """``decode`` as the popcount of the XOR of two bitmasks, one codeword
+    at a time; raises the same error with the same message."""
+    rec = set(received)
+    if rec and (min(rec) < 0 or max(rec) >= code.n):
+        raise ValueError(f"received indices must lie in 0..{code.n - 1}")
+    mask = sum(1 << i for i in rec)
+    distances = [(mask ^ sum(1 << i for i in cw)).bit_count() for cw in code.codewords]
+    best = min(distances)
+    return DecodeResult(best, tuple(cw for cw, d in zip(code.codewords, distances) if d == best))
 
 
 def random_constant_weight_code(n: int, k: int, d: int, rng: random.Random) -> ConstantWeightCode:

@@ -86,6 +86,18 @@ def test_pool_gf3_round_trip(tmp_path, capsys):
     assert err == "error: --decompose: expected comma-separated integers, got '0,1,x'\n"
 
 
+def test_pool_coefficients_out_of_range_name_the_field(tmp_path, capsys):
+    path = tmp_path / "pool.json"
+    path.write_text(json.dumps({"backend": "poly", "p": 3, "constituents": [[4, 1], [-1, 1]]}))
+    rc, out, err = run(capsys, "pool", "--file", str(path))
+    assert rc == 2 and out == ""
+    assert err == f"error: {path}: bad pool document: constituents[0]: coefficient 4 is not in 0..2\n"
+    path.write_text(json.dumps({"backend": "poly", "p": 3, "constituents": [[0, 1], [1, 1], [1, 0, 1]]}))
+    rc, out, err = run(capsys, "pool", "--file", str(path), "--decompose", "5,4,1")
+    assert rc == 2 and out == ""
+    assert err == "error: --decompose: coefficient 5 is not in 0..2\n"
+
+
 def test_pool_schema_error(tmp_path, capsys):
     bad = tmp_path / "pool.json"
     bad.write_text("{not json")
@@ -143,6 +155,13 @@ def test_decode_ambiguous_case(capsys):
     assert rc == 0
     obj = json.loads(out)
     assert obj["ambiguous"] and len(obj["candidates"]) == 3
+
+
+@pytest.mark.parametrize("argv", [["--received", "0,9"], ["--received=-1,2"]], ids=["past-n", "negative"])
+def test_decode_received_out_of_range_names_the_flag(capsys, argv):
+    rc, out, err = run(capsys, "decode", "--sample-code", *argv)
+    assert rc == 2 and out == ""
+    assert err == "error: --received: received indices must lie in 0..6\n"
 
 
 def test_decode_from_file(tmp_path, capsys):

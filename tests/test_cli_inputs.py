@@ -72,6 +72,10 @@ def load(kind: str, text: str, directory):
         ("pool", {}, "missing field 'backend'"),
         ("pool", {"backend": "poly", "p": 2, "constituents": [[1, "a"]]}, "'constituents'"),
         ("pool", {"backend": "set", "n": 7, "p": 2}, "unknown field 'p' for backend 'set'"),
+        ("pool", {"backend": "poly", "p": 3, "constituents": [[1, 1], [2, -1]]},
+         "constituents[1]: coefficient -1 is not in 0..2"),
+        ("pool", {"backend": "poly", "p": 2, "constituents": ["3", "xy"]},
+         "constituents[1]: invalid hex string 'xy'"),
         ("code", {"n": 7, "codewords": [[0, "1"]]}, "'codewords'"),
         ("code", {"n": 7, "codewords": [[0, 1, 2, 3]], "extra": 1}, "unknown field 'extra'"),
         ("code", {"n": 7, "k": 5, "codewords": [[0, 1, 2, 3], [0, 1, 4, 5]]}, "claims k=5"),
@@ -95,6 +99,7 @@ def load(kind: str, text: str, directory):
     ],
     ids=[
         "pool-empty", "pool-constituent-item", "pool-field-of-other-backend",
+        "pool-coefficient-range", "pool-constituent-hex",
         "code-codeword-item", "code-unknown-key", "code-wrong-k", "code-no-codewords",
         "lattice-cover-unknown", "lattice-mult-unknown", "lattice-mult-size",
         "lattice-int-labels",

@@ -1,7 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwlattice.code import (
     ConstantWeightCode,
@@ -11,7 +14,7 @@ from cwlattice.code import (
     rate,
     symmetric_distance,
 )
-from helpers import random_constant_weight_code
+from helpers import decode_oracle, random_constant_weight_code
 
 
 def test_symmetric_distance_basic():
@@ -101,6 +104,69 @@ def test_decode_single_erasure(code744):
 def test_decode_validates_range(code744):
     with pytest.raises(ValueError):
         decode((0, 9), code744)
+
+
+@st.composite
+def codes(draw, max_n=24, max_size=60):
+    """A code of n <= 24 of any weight k, with 1 to about 60 distinct codewords."""
+    n = draw(st.integers(1, max_n))
+    k = draw(st.integers(1, n))
+    size = draw(st.integers(1, min(math.comb(n, k), max_size)))
+    rng = draw(st.randoms(use_true_random=False))
+    words = {}  # in the order drawn, which is the code order
+    while len(words) < size:
+        words[tuple(sorted(rng.sample(range(n), k)))] = None
+    return ConstantWeightCode(n, list(words))
+
+
+@st.composite
+def codes_and_received(draw):
+    """A code and a received list of any set size from 0 to n, duplicates included."""
+    code = draw(codes())
+    symbols = st.integers(0, code.n - 1)
+    received = draw(st.lists(symbols, max_size=2 * code.n) | st.permutations(range(code.n)))
+    if received:
+        received += draw(st.lists(st.sampled_from(received), max_size=3))
+    return code, received
+
+
+@settings(max_examples=250, deadline=None)
+@given(codes_and_received())
+def test_decode_matches_popcount_oracle(case):
+    code, received = case
+    assert decode(received, code) == decode_oracle(received, code)
+
+
+@settings(max_examples=100, deadline=None)
+@given(codes_and_received(), st.sampled_from([-1, "n", "n+5"]))
+def test_decode_out_of_range_raises_as_oracle(case, bad):
+    code, received = case
+    bad = {"n": code.n, "n+5": code.n + 5}.get(bad, bad)
+    received = [*received, bad]
+    with pytest.raises(ValueError) as expected:
+        decode_oracle(received, code)
+    with pytest.raises(ValueError) as got:
+        decode(received, code)
+    assert str(got.value) == str(expected.value) == f"received indices must lie in 0..{code.n - 1}"
+
+
+@settings(max_examples=120, deadline=None)
+@given(codes())
+def test_min_distance_is_the_pairwise_minimum(code):
+    pairs = itertools.combinations(code.codewords, 2)
+    expected = min((symmetric_distance(a, b) for a, b in pairs), default=None)
+    if expected is None:
+        with pytest.raises(ValueError):
+            code.min_distance
+        assert "d" not in code.to_json()
+    else:
+        assert code.min_distance == expected
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (8, 4), (24, 12), (24, 8)])
+def test_min_distance_of_disjoint_codewords_is_2k(n, k):
+    words = [tuple(range(start, start + k)) for start in range(0, n - k + 1, k)]
+    assert ConstantWeightCode(n, words).min_distance == 2 * k
 
 
 def test_guaranteed_correctable(code744):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -257,3 +258,13 @@ def test_hex_rejects_garbage(f2):
         Polynomial.from_hex("XYZ", f2)
     with pytest.raises(ValueError):
         Polynomial.from_hex("", f2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_from_coefficients_takes_exactly_the_residues(p):
+    field = PrimeField(p)
+    for coeffs in itertools.product(range(p), repeat=3):
+        assert Polynomial.from_coefficients(coeffs, field) == Polynomial(field, coeffs)
+    for bad in (-1, p, p + 1):
+        with pytest.raises(ValueError, match=rf"^coefficient {bad} is not in 0\.\.{p - 1}$"):
+            Polynomial.from_coefficients([1, bad, 1], field)
