@@ -204,7 +204,10 @@ def cmd_pool(args) -> int:
             lines.append(f"  [{i}] {pool.element_to_json(f)}")
     if args.compose is not None:
         subset = _parse_indices(args.compose, "--compose")
-        element = pool.compose(subset)
+        try:
+            element = pool.compose(subset)
+        except ValueError as exc:
+            raise SchemaError(f"--compose: {exc}") from None
         if pool.backend == "poly":
             shown = pool.element_to_json(element)
         else:

@@ -29,14 +29,27 @@ cannot beat the best.  An optional external upper bound (from the
 bounds module) ends the search as soon as it is met, which proves
 optimality early.
 
-Both searches start at vertex 0.  A permutation of {0..n-1} maps
-k-subsets to k-subsets and keeps every intersection size, so S_n acts
-on the graph by automorphisms, and it acts transitively on the
-vertices.  Hence some maximum clique contains vertex 0, and every
-vertex lies in the same number c0 of cliques of size s.  Counting the
-pairs (vertex, s-clique through it) both ways gives V * c0 = s * N,
-so the number of s-cliques is N = V * c0 / s, where c0 is the number
-of (s-1)-cliques among the neighbours of vertex 0.
+Both searches start two levels down, at vertex 0 and one neighbour
+per orbit.  A permutation of {0..n-1} maps k-subsets to k-subsets and
+keeps every intersection size, so S_n acts on the graph by
+automorphisms, and it acts transitively on the vertices.  Hence some
+maximum clique contains vertex 0, and every vertex lies in the same
+number c0 of cliques of size s.  Counting the pairs (vertex, s-clique
+through it) both ways gives V * c0 = s * N, so N = V * c0 / s.
+
+One level further down, the stabiliser of vertex 0 = {0..k-1} is
+S_k x S_{n-k}.  It keeps |u & vertex 0|, and it is transitive on the
+vertices u with a given intersection size i, so it has one orbit O_i
+per i, of C(k, i) * C(n-k, k-i) vertices.  Adjacency to vertex 0
+depends on i alone, so each orbit lies wholly inside or outside N(0).
+Its permutations fix vertex 0, so every u in an orbit O lies in the
+same number c(0, u_O) of s-cliques through vertex 0, the number of
+(s-2)-cliques in N(0) & N(u_O).  Counting the pairs (u, s-clique
+through 0 and u) both ways gives (s-1) * c0 = sum over the orbits O in
+N(0) of |O| * c(0, u_O), and so N = V * pairs / (s * (s-1)).  Likewise
+a maximum clique of size at least 2 through vertex 0 is mapped onto
+one through vertex 0 and the lowest vertex u_O of some orbit, so
+max_clique branches on one u_O per orbit after its greedy seed.
 
 Everything is deterministic for a fixed vertex order.
 """
@@ -160,6 +173,26 @@ def _greedy_clique(graph: CompatibilityGraph) -> list[int]:
     return clique
 
 
+def _neighbour_orbits(graph: CompatibilityGraph) -> list[tuple[int, int]]:
+    """(lowest vertex u_O, |O|) for each orbit O of vertex 0's stabiliser inside N(0).
+
+    Orbit O_i holds the vertices that meet vertex 0 = {0..k-1} in i
+    elements (see the module docstring); its lowest vertex in
+    lexicographic order is {0..i-1} + {k..2k-i-1}.  The orbits come in
+    ascending order of u_O (descending i), the order in which the
+    colouring search branches on low indices first: on (11,5,6), whose
+    optimal code meets in 2 points only, the other order exhausts the
+    i = 0 orbit before it finds the bound.
+    """
+    n, k = graph.n, graph.k
+    orbits = []
+    for i in reversed(range(max(0, 2 * k - n), k)):
+        u = graph.vertices.index(tuple(range(i)) + tuple(range(k, 2 * k - i)))
+        if graph.adjacency[0] >> u & 1:
+            orbits.append((u, math.comb(k, i) * math.comb(n - k, k - i)))
+    return orbits
+
+
 def _colour_classes(cands: int, others: list[int], kmin: int) -> tuple[list[int], list[int]]:
     """Greedy sequential colouring of the candidate set.
 
@@ -199,7 +232,6 @@ def max_clique(
     best clique so far is returned flagged incomplete.
     """
     adjacency = graph.adjacency
-    V = len(adjacency)
     started = time.monotonic()
     deadline = started + timeout if timeout is not None else None
     best_verts = _greedy_clique(graph)
@@ -244,9 +276,9 @@ def max_clique(
 
     complete = True
     try:
-        if V:
-            # vertex-transitive graph: some maximum clique contains vertex 0
-            expand([0], adjacency[0])
+        # some maximum clique of size >= 2 contains vertex 0 and one u_O
+        for u, _ in _neighbour_orbits(graph):
+            expand([0, u], adjacency[0] & adjacency[u])
     except _Stop:
         complete = not state["timed_out"]
     return _result(complete)
@@ -260,29 +292,41 @@ def count_maximum_cliques(
 ) -> CountResult:
     """Exact count of cliques of the given size (the known maximum).
 
-    Counts the cliques through vertex 0 and scales by V / size, which
-    vertex transitivity makes exact.  Stops early when the count exceeds
-    ``cap`` or the timeout, checked at every node, expires, flagging the
-    result accordingly; the count is then a lower bound.
+    Counts the cliques through vertex 0 and one vertex u_O per orbit of
+    its stabiliser, weighted by the orbit size, and scales the pair sum
+    by V / (size * (size - 1)), which the symmetry makes exact (see the
+    module docstring).  Stops early when the count exceeds ``cap`` or
+    the timeout, checked at every node, expires, flagging the result
+    accordingly; the count of the partial pair sum is then a lower bound.
     """
     if size < 1:
         raise ValueError("clique size must be positive")
     adjacency = graph.adjacency
     V = len(adjacency)
     started = time.monotonic()
+    if size == 1:
+        return CountResult(
+            count=V, capped=False, complete=True, elapsed=time.monotonic() - started, nodes=0
+        )
     deadline = started + timeout if timeout is not None else None
     others = [~(row | 1 << v) for v, row in enumerate(adjacency)]
-    state = {"rooted": 0, "calls": 0, "capped": False}
+    state = {"pairs": 0, "calls": 0, "capped": False}
+    # the count so far, pairs * V // scale, exceeds cap once pairs * V >= limit
+    scale = size * (size - 1)
+    limit = (cap + 1) * scale
 
-    def rec(cands: int, need: int) -> None:
+    def tally(pairs: int) -> None:
+        state["pairs"] += pairs
+        if state["pairs"] * V >= limit:
+            state["capped"] = True
+            raise _Stop
+
+    def rec(cands: int, need: int, weight: int) -> None:
         state["calls"] += 1
         if deadline is not None and time.monotonic() >= deadline:
             raise _Stop
         if need == 1:
-            state["rooted"] += cands.bit_count()
-            if state["rooted"] * V > cap * size:
-                state["capped"] = True
-                raise _Stop
+            tally(weight * cands.bit_count())
             return
         # a clique of `need` vertices needs `need` colours: lower ones never start one
         verts, _ = _colour_classes(cands, others, need)
@@ -290,20 +334,28 @@ def count_maximum_cliques(
             cands ^= 1 << v
             sub = cands & adjacency[v]
             if sub.bit_count() >= need - 1:
-                rec(sub, need - 1)
+                rec(sub, need - 1, weight)
 
     complete = True
     try:
-        if size == 1:
-            state["rooted"] = 1
-        elif V:
-            rec(adjacency[0], size - 1)
+        for u, weight in _neighbour_orbits(graph):
+            if size == 2:
+                tally(weight)
+            else:
+                rec(adjacency[0] & adjacency[u], size - 2, weight)
     except _Stop:
         complete = False
-    if complete:
-        assert state["rooted"] * V % size == 0, "graph is not vertex-transitive"
+    pairs = state["pairs"]
+    # checked with raise, not assert, so that python -O keeps them
+    if complete and pairs % (size - 1):
+        raise ValueError(
+            f"stabiliser of vertex 0 does not act on the graph: {pairs} pairs "
+            f"through vertex 0 are not a multiple of {size - 1}"
+        )
+    if complete and pairs // (size - 1) * V % size:
+        raise ValueError("graph is not vertex-transitive")
     return CountResult(
-        count=state["rooted"] * V // size,
+        count=pairs * V // scale,
         capped=state["capped"],
         complete=complete,
         elapsed=time.monotonic() - started,

@@ -76,14 +76,12 @@ def _largest(planes: Sequence[int], among: int) -> tuple[int, int]:
 
 
 def validated_indices(indices: Iterable[int], n: int) -> tuple[int, ...]:
-    """The index set as a tuple, if nonempty, strictly increasing and in 0..n-1."""
+    """The index set as a tuple, if strictly increasing and in 0..n-1."""
     indices = tuple(indices)
-    if not indices:
-        raise ValueError("index set must be nonempty")
     for x, y in zip(indices, indices[1:]):
         if x >= y:
             raise ValueError(f"indices must be strictly increasing, got {indices}")
-    if indices[0] < 0 or indices[-1] >= n:
+    if indices and (indices[0] < 0 or indices[-1] >= n):
         raise ValueError(f"indices must lie in 0..{n - 1}, got {indices}")
     return indices
 
@@ -98,6 +96,8 @@ class ConstantWeightCode:
         if not cws:
             raise ValueError("code must contain at least one codeword")
         k = len(cws[0])
+        if not k:
+            raise ValueError("codewords must be nonempty")
         if any(len(cw) != k for cw in cws):
             raise ValueError("all codewords must have the same weight")
         if len(set(cws)) != len(cws):

@@ -2,8 +2,10 @@
 
 A pool fixes an ordered list of n pairwise non-dividing constituents.
 ``compose`` maps a strictly increasing index subset to the element it
-generates; ``decompose`` recovers the subset, which is unique because
-distinct squarefree products of distinct irreducibles are distinct.
+generates, and the empty subset to the unit, as the empty meet of a
+lattice is its top; ``decompose`` recovers the subset, which is unique
+because distinct squarefree products of distinct irreducibles are
+distinct.
 
 Two backends are provided.  PolynomialPool holds monic irreducible
 polynomials over one prime field and composes by multiplying the
@@ -96,7 +98,8 @@ class PolynomialPool:
         return packed
 
     def compose(self, subset: Iterable[int]) -> Polynomial:
-        """Product of the selected generators, as one product of packed ints."""
+        """Product of the selected generators, as one product of packed ints;
+        the empty product is the unit, Polynomial.one."""
         indices = validated_indices(subset, self.n)
         lengths = [len(self.constituents[i].coeffs) for i in indices]
         # every coefficient of the product is at most the product of the
@@ -199,6 +202,7 @@ class SubsetPool:
         self.n = n
 
     def compose(self, subset: Iterable[int]) -> frozenset[int]:
+        """The index set itself; the empty set is the unit."""
         return frozenset(validated_indices(subset, self.n))
 
     def decompose(self, element: Iterable[int]) -> tuple[int, ...]:

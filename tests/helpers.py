@@ -64,19 +64,28 @@ def brute_max_clique_size(graph: CompatibilityGraph) -> int:
     return best
 
 
-def count_cliques_oracle(graph: CompatibilityGraph, size: int) -> int:
+class _OverLimit(Exception):
+    pass
+
+
+def count_cliques_oracle(graph: CompatibilityGraph, size: int, limit: int | None = None) -> int | None:
     """Cliques of the given size, each built once in ascending vertex order.
 
     Uses no symmetry and no colouring, unlike ``count_maximum_cliques``.
+    With a limit, returns None as soon as more than ``limit`` are found.
     """
     adjacency = graph.adjacency
     V = len(adjacency)
     above = [~((1 << (v + 1)) - 1) for v in range(V)]
+    total = 0
 
-    def rec(cands: int, need: int) -> int:
+    def rec(cands: int, need: int) -> None:
+        nonlocal total
         if need == 1:
-            return cands.bit_count()
-        total = 0
+            total += cands.bit_count()
+            if limit is not None and total > limit:
+                raise _OverLimit
+            return
         mask = cands
         while mask:
             low = mask & -mask
@@ -84,10 +93,13 @@ def count_cliques_oracle(graph: CompatibilityGraph, size: int) -> int:
             mask ^= low
             sub = cands & adjacency[v] & above[v]
             if sub.bit_count() >= need - 1:
-                total += rec(sub, need - 1)
-        return total
+                rec(sub, need - 1)
 
-    return rec((1 << V) - 1, size)
+    try:
+        rec((1 << V) - 1, size)
+    except _OverLimit:
+        return None
+    return total
 
 
 def glb_oracle(lat: FiniteLattice, a: str, b: str) -> str:

@@ -63,10 +63,20 @@ def test_pool_empty_values_are_not_ignored(capsys):
     rc, out, err = run(capsys, "pool", "--sample", "--decompose", "")
     assert rc == 2 and out == ""
     assert err == "error: --decompose: invalid hex string ''\n"
-    # the empty subset is given, and rejected by compose
+    # the empty subset is given, and composes to the unit
     rc, out, err = run(capsys, "pool", "--sample", "--compose", "")
-    assert rc == 1 and out == ""
-    assert err.startswith("error: ")
+    assert rc == 0 and err == ""
+    assert out.splitlines()[-1] == "compose [] -> 1"
+
+
+@pytest.mark.parametrize("value, message", [
+    ("0,99", "indices must lie in 0..6, got (0, 99)"),
+    ("3,1", "indices must be strictly increasing, got (3, 1)"),
+])
+def test_pool_compose_bad_subset_names_the_flag(capsys, value, message):
+    rc, out, err = run(capsys, "pool", "--sample", "--compose", value)
+    assert rc == 2 and out == ""
+    assert err == f"error: --compose: {message}\n"
 
 
 def test_pool_gf3_round_trip(tmp_path, capsys):

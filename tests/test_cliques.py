@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 from math import comb
@@ -134,6 +135,30 @@ def test_count_cap():
     assert 100 < result.count <= 945  # a lower bound on the full count
 
 
+def test_count_cap_with_two_orbits():
+    # N(0) of (8,3,4) holds two orbits of vertex 0's stabiliser (|A & {0,1,2}| = 0, 1)
+    g = build_graph(8, 3, 4)
+    result = count_maximum_cliques(g, 8, cap=100)
+    assert result.capped and not result.complete
+    assert 100 < result.count <= 840
+
+
+def test_count_rejects_a_graph_without_the_symmetry():
+    # K_6 with one edge away from vertex 0 removed: the orbit-weighted sum
+    # through vertex 0 cannot be spread evenly
+    g = build_graph(4, 2, 2)
+    for (a, b), size, message in [
+        ((4, 5), 3, "stabiliser of vertex 0 does not act on the graph"),
+        ((1, 5), 4, "graph is not vertex-transitive"),
+    ]:
+        adjacency = list(g.adjacency)
+        adjacency[a] ^= 1 << b
+        adjacency[b] ^= 1 << a
+        broken = dataclasses.replace(g, adjacency=tuple(adjacency))
+        with pytest.raises(ValueError, match=message):
+            count_maximum_cliques(broken, size)
+
+
 def test_count_trivial_sizes():
     g = build_graph(5, 2, 2)  # complete graph on 10 vertices
     assert count_maximum_cliques(g, 1).count == 10
@@ -227,6 +252,14 @@ def test_max_clique_certifies_without_external_bound(n, k, d, size):
     assert result.nodes > 0
 
 
+def test_second_level_branches_on_the_largest_intersection_first():
+    # the 11 words of every optimal (11,5,6) code meet pairwise in exactly 2
+    # points; branching on the orbit |u & vertex 0| = 0 first costs thousands of nodes
+    result = max_clique(build_graph(11, 5, 6), upper_bound=11)
+    assert result.complete and result.size == 11
+    assert result.nodes < 100
+
+
 @pytest.mark.parametrize("k", [4, 5])
 def test_count_nine_point_rows(k):
     # (9,5,4) is the complement of (9,4,4): the same count
@@ -253,3 +286,35 @@ def test_build_graph_over_the_limit_fails_before_listing_subsets():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# every (n, k, d, exact) with n <= 8, so V <= 70: d = 2 in "at least" mode
+# gives complete graphs, d > 2k edgeless ones, and in exact mode N(0) is
+# one orbit of vertex 0's stabiliser
+SMALL_ROWS = [
+    (n, k, d, exact)
+    for n in range(1, 9)
+    for k in range(1, n + 1)
+    for d in range(2, 2 * k + 3, 2)
+    for exact in (False, True)
+]
+# the middle sizes are too many to enumerate one by one (K_70 has C(70, 35)
+# cliques of size 35), so a size is compared when the oracle finds at most this many
+ORACLE_LIMIT = 2000
+
+
+@pytest.mark.parametrize("n, k, d, exact", SMALL_ROWS)
+def test_counts_and_clique_number_match_the_oracle(n, k, d, exact):
+    g = build_graph(n, k, d, exact=exact)
+    size = 0
+    while True:
+        expected = count_cliques_oracle(g, size + 1, limit=ORACLE_LIMIT)
+        if expected == 0:
+            break
+        size += 1
+        if expected is not None:
+            result = count_maximum_cliques(g, size)
+            assert result.complete and not result.capped
+            assert result.count == expected, size
+    searched = max_clique(g)
+    assert searched.complete and searched.size == size

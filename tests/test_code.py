@@ -50,6 +50,8 @@ def test_code_validation():
         ConstantWeightCode(5, [(1, 0)])
     with pytest.raises(ValueError):
         ConstantWeightCode(5, [(0, 5)])
+    with pytest.raises(ValueError, match="codewords must be nonempty"):
+        ConstantWeightCode(5, [()])
 
 
 def test_min_distance_sample(code744):

@@ -76,8 +76,6 @@ def test_compose_worked_values(pool744):
 
 def test_compose_rejects_bad_subsets(pool744):
     with pytest.raises(ValueError):
-        pool744.compose([])
-    with pytest.raises(ValueError):
         pool744.compose([2, 2])
     with pytest.raises(ValueError):
         pool744.compose([5, 3])
@@ -96,6 +94,14 @@ def test_decompose_singleton(pool744):
 
 def test_decompose_unit_is_empty(pool744, f2):
     assert pool744.decompose(Polynomial.one(f2)) == ()
+
+
+def test_compose_empty_subset_is_the_unit(pool744, f2):
+    # the empty product, like the empty meet, is the top: the unit round-trips
+    assert pool744.compose([]) == Polynomial.one(f2)
+    assert pool744.decompose(pool744.compose(())) == ()
+    assert SubsetPool(5).compose([]) == frozenset()
+    assert SubsetPool(5).decompose(SubsetPool(5).compose(())) == ()
 
 
 def test_decompose_square_raises(pool744, f2):
