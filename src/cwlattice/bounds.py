@@ -125,8 +125,11 @@ def johnson2(n: int, k: int, delta: int) -> int:
 class BoundEntry:
     name: str
     value: int | None
-    applicable: bool
     reason: str = ""
+
+    @property
+    def applicable(self) -> bool:
+        return self.value is not None
 
     def to_json(self) -> dict:
         return {
@@ -181,28 +184,26 @@ def bound_report(n: int, k: int, d: int) -> BoundReport:
     report = BoundReport(n=n, k=k, d=d)
     add = report.entries.append
 
-    add(BoundEntry("subset_cap", comb(n, k), True, "number of k-subsets"))
-    add(BoundEntry("sphere_packing", sphere_packing_bound(n, k, d), True))
-    add(BoundEntry("sphere_covering_lower", sphere_covering_lower(n, k, d), True,
+    add(BoundEntry("subset_cap", comb(n, k), "number of k-subsets"))
+    add(BoundEntry("sphere_packing", sphere_packing_bound(n, k, d)))
+    add(BoundEntry("sphere_covering_lower", sphere_covering_lower(n, k, d),
                    "existence lower bound, not a cap"))
     if d > 2:
-        add(BoundEntry("singleton", singleton_bound(n, k, d), True))
+        add(BoundEntry("singleton", singleton_bound(n, k, d)))
     else:
-        add(BoundEntry("singleton", None, False, "stated for d > 2 only"))
+        add(BoundEntry("singleton", None, "stated for d > 2 only"))
     j1 = johnson1(n, k, delta)
     if j1 is None:
         denom = k * k - k * n + delta * n
-        add(BoundEntry("johnson1", None, False,
+        add(BoundEntry("johnson1", None,
                        f"denominator k^2 - kn + delta*n = {denom} is not positive"))
     else:
-        add(BoundEntry("johnson1", j1, True))
+        add(BoundEntry("johnson1", j1))
     refined = johnson1_refined(n, k, delta)
-    if refined >= comb(n, k):
-        add(BoundEntry("johnson1_refined", refined, True,
-                       "feasibility never fails; value is the trivial cap"))
-    else:
-        add(BoundEntry("johnson1_refined", refined, True))
-    add(BoundEntry("johnson2", johnson2(n, k, delta), True))
+    trivial = refined >= comb(n, k)
+    reason = "feasibility never fails; value is the trivial cap" if trivial else ""
+    add(BoundEntry("johnson1_refined", refined, reason))
+    add(BoundEntry("johnson2", johnson2(n, k, delta)))
     return report
 
 

@@ -179,14 +179,13 @@ def _parse_element(pool, text: str):
         raise SchemaError(f"--decompose: {exc}") from None
 
 
-def _emit(obj, args, text_lines=None) -> None:
-    if getattr(args, "json", False) or text_lines is None:
+def _emit(obj, args, text_lines) -> None:
+    if args.json:
         payload = json.dumps(obj, indent=2)
     else:
         payload = "\n".join(text_lines)
-    out_path = getattr(args, "out", None)
-    if out_path:
-        with open(out_path, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(payload + "\n")
     else:
         print(payload)

@@ -59,7 +59,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cwlattice.code import ConstantWeightCode, _intersection_planes, _members
 
@@ -74,12 +74,53 @@ class _Stop(Exception):
 
 @dataclass(frozen=True)
 class CompatibilityGraph:
+    """The graph of the parameters (n, k, d, exact), built bit-sliced on construction.
+
+    ``vertices`` and ``adjacency`` are derived, not arguments, so every
+    graph has S_n acting on it as the counting code assumes.  The build
+    takes about half a second at ``MAX_VERTICES``, so it has no deadline
+    of its own.
+    """
+
     n: int
     k: int
     d: int
-    exact: bool
-    vertices: tuple[tuple[int, ...], ...]
-    adjacency: tuple[int, ...]
+    exact: bool = False
+    vertices: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    adjacency: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        n, k, d, exact = self.n, self.k, self.d, self.exact
+        if not 1 <= k <= n <= MAX_GROUND_SET:
+            raise ValueError(f"need 1 <= k <= n <= {MAX_GROUND_SET}, got k={k}, n={n}")
+        if d % 2 or d < 2:
+            raise ValueError(f"distance must be a positive even number, got {d}")
+        # checked before the subsets are listed: C(24, 12) of them take 415 MB
+        size = math.comb(n, k)
+        if size > MAX_VERTICES:
+            raise ValueError(f"graph would have {size} vertices, over the limit {MAX_VERTICES}")
+        vertices = tuple(itertools.combinations(range(n), k))
+        # symmetric distance of equal-size sets: 2 * (k - |intersection|)
+        target = k - d // 2
+        adjacency = [0] * size
+        if target >= 0:
+            members = _members(vertices, n)
+            width = k.bit_length()
+            for a, subset in enumerate(vertices):
+                # planes[j] holds bit j of |subset & vertex b| at bit b
+                planes = _intersection_planes(members, subset, width)
+                # compare with target from the top bit: equal so far, and already below
+                equal, below = (1 << size) - 1, 0
+                for j in reversed(range(width)):
+                    if target >> j & 1:
+                        below |= equal & ~planes[j]
+                        equal &= planes[j]
+                    else:
+                        equal &= ~planes[j]
+                # a's own count is k > target, so no row holds its own bit
+                adjacency[a] = equal if exact else equal | below
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "adjacency", tuple(adjacency))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -95,42 +136,8 @@ class CompatibilityGraph:
 
 
 def build_graph(n: int, k: int, d: int, exact: bool = False) -> CompatibilityGraph:
-    """Build the subset compatibility graph for the given parameters.
-
-    The build is bit-sliced (see the module docstring) and takes about
-    half a second at ``MAX_VERTICES``, so it has no deadline of its own.
-    """
-    if not 1 <= k <= n <= MAX_GROUND_SET:
-        raise ValueError(f"need 1 <= k <= n <= {MAX_GROUND_SET}, got k={k}, n={n}")
-    if d % 2 or d < 2:
-        raise ValueError(f"distance must be a positive even number, got {d}")
-    # checked before the subsets are listed: C(24, 12) of them take 415 MB
-    size = math.comb(n, k)
-    if size > MAX_VERTICES:
-        raise ValueError(f"graph would have {size} vertices, over the limit {MAX_VERTICES}")
-    vertices = tuple(itertools.combinations(range(n), k))
-    # symmetric distance of equal-size sets: 2 * (k - |intersection|)
-    target = k - d // 2
-    adjacency = [0] * size
-    if target >= 0:
-        members = _members(vertices, n)
-        width = k.bit_length()
-        for a, subset in enumerate(vertices):
-            # planes[j] holds bit j of |subset & vertex b| at bit b
-            planes = _intersection_planes(members, subset, width)
-            # compare with target from the top bit: equal so far, and already below
-            equal, below = (1 << size) - 1, 0
-            for j in reversed(range(width)):
-                if target >> j & 1:
-                    below |= equal & ~planes[j]
-                    equal &= planes[j]
-                else:
-                    equal &= ~planes[j]
-            # a's own count is k > target, so no row holds its own bit
-            adjacency[a] = equal if exact else equal | below
-    return CompatibilityGraph(
-        n=n, k=k, d=d, exact=exact, vertices=vertices, adjacency=tuple(adjacency)
-    )
+    """The subset compatibility graph for the given parameters, built bit-sliced."""
+    return CompatibilityGraph(n, k, d, exact)
 
 
 @dataclass

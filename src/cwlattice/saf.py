@@ -1,8 +1,10 @@
 """Store-and-forward unicast simulator over random layered DAGs.
 
 The source maps its codeword (a k-subset of constituent indices) to a
-packet of k distinct nonzero symbols of F_q, q prime and larger than
-the pool.  Every intermediate node concatenates its incoming packets in
+packet of k distinct nonzero symbols of F_q, index i to symbol i + 1,
+with q prime and larger than the pool.  Composing the pool element
+comes after decoding, so a trial reads only the code, F_q and the
+topology.  Every intermediate node concatenates its incoming packets in
 edge order, keeps the first occurrence of each distinct nonzero symbol
 in a single scan, and forwards the first k of them; with fewer than k
 distinct symbols the node declares a failure and stays silent.  The
@@ -29,8 +31,8 @@ its tail emitted forwards that packet without dedup.
 All randomness is seeded; a trial is a pure function of its seeds.  The
 models with a ``seed`` field (random substitution, edge erasure) draw
 from a ``random.Random`` seeded per trial; the others never draw and
-get None.  ``run_experiment`` checks the adversary once per run against
-the layers and q (``check_adversary``).
+get None.  ``run_experiment`` checks the pool size once per run, and
+the adversary against the layers and q (``check_adversary``).
 """
 
 from __future__ import annotations
@@ -172,43 +174,36 @@ def random_dag(
 
 @dataclass(frozen=True)
 class SymbolMap:
-    """Injective map from constituent indices to nonzero symbols of F_q."""
+    """The map index i <-> nonzero symbol i + 1 of F_q, for indices 0..n-1.
+
+    Any injective map into the nonzero symbols would only relabel them
+    and change no outcome rate, so the map is fixed.
+    """
 
     q: int
-    table: tuple[int, ...]
+    n: int
 
     def __post_init__(self):
         if not is_prime(self.q):
             raise ValueError(f"field size {self.q} is not prime")
-        if len(self.table) >= self.q:
+        if self.n >= self.q:
             raise ValueError("need q > n to embed the pool in the nonzero symbols")
-        if len(set(self.table)) != len(self.table):
-            raise ValueError("symbol map must be injective")
-        if any(not 1 <= s < self.q for s in self.table):
-            raise ValueError("symbols must be nonzero field elements")
 
     @classmethod
     def default(cls, n: int, q: int | None = None) -> "SymbolMap":
-        """Index i maps to i + 1, over the smallest prime exceeding n by default."""
+        """The map over the smallest prime exceeding n by default."""
         if q is None:
             q = next_prime(n)
-        return cls(q=q, table=tuple(range(1, n + 1)))
-
-    @property
-    def n(self) -> int:
-        return len(self.table)
+        return cls(q=q, n=n)
 
     def encode(self, index: int) -> int:
-        if not 0 <= index < len(self.table):
+        if not 0 <= index < self.n:
             raise ValueError(f"index {index} outside the map domain")
-        return self.table[index]
+        return index + 1
 
     def decode(self, symbol: int) -> int | None:
         """Constituent index of a symbol, or None if not in the image."""
-        try:
-            return self.table.index(symbol)
-        except ValueError:
-            return None
+        return symbol - 1 if 0 < symbol <= self.n else None
 
 
 def source_encode(codeword: Iterable[int], symbol_map: SymbolMap) -> Packet:
@@ -294,10 +289,6 @@ class RandomSubstitution:
         out = None
         for i in range(len(packet)):
             if draw() < prob:
-                if q < 3:
-                    raise ValueError(
-                        f"random substitution needs q >= 3: F_{q} has no other nonzero symbol"
-                    )
                 if out is None:
                     out = list(packet)
                 # uniform over the q - 2 nonzero symbols other than s
@@ -375,11 +366,13 @@ def _adversary_rng(model: Adversary, trial_seed: int) -> random.Random | None:
 def check_adversary(model: Adversary, layer_sizes: Sequence[int], q: int) -> None:
     """Raise ValueError naming the first rule or listed edge no trial can use.
 
-    A rule's old and new symbols must be nonzero elements of F_q, and
-    every edge (u, v) must run from an earlier layer to a later one, with
-    v no later than the sink.  O(rules + edges); a model with neither
-    returns at once.
+    Random substitution that may act needs q >= 3.  A rule's old and new
+    symbols must be nonzero elements of F_q, and every edge (u, v) must
+    run from an earlier layer to a later one, with v no later than the
+    sink.  O(rules + edges); a model with neither returns at once.
     """
+    if isinstance(model, RandomSubstitution) and model.prob and q < 3:
+        raise ValueError(f"random substitution needs q >= 3: F_{q} has no other nonzero symbol")
     rules = getattr(model, "rules", ())
     edges = getattr(model, "edges", ())
     if not (rules or edges):
@@ -427,20 +420,11 @@ class TrialResult:
     received: tuple[int, ...]
     decoded: tuple[int, ...] | None
     ties: int
-    pool: object = field(default=None, compare=False, repr=False)
-
-    @property
-    def decoded_element(self):
-        """The pool element of the decoded codeword, or None."""
-        if self.decoded is None or self.pool is None:
-            return None
-        return self.pool.compose(self.decoded)
 
 
 def run_trial(
     topology: NetworkTopology,
     code: ConstantWeightCode,
-    pool,
     symbol_map: SymbolMap,
     adversary: Adversary,
     message_index: int,
@@ -450,8 +434,6 @@ def run_trial(
     if symbol_map.n < code.n:
         # a SymbolMap has q > its own n, so this check also gives q > n
         raise ValueError("symbol map must cover the pool, so that q > n")
-    if pool is not None and getattr(pool, "n", code.n) != code.n:
-        raise ValueError("pool size differs from the code's ground set")
     transmitted = code.codewords[message_index]
     k = code.k
     q = symbol_map.q
@@ -491,7 +473,6 @@ def run_trial(
             received=(),
             decoded=None,
             ties=0,
-            pool=pool,
         )
 
     recovered = sink_recover(packets, k, symbol_map)
@@ -515,7 +496,6 @@ def run_trial(
         received=recovered.indices,
         decoded=decoded,
         ties=len(result.candidates),
-        pool=pool,
     )
 
 
@@ -569,11 +549,14 @@ def run_experiment(
 ) -> ExperimentStats:
     """Seeded batch of independent trials with per-outcome counts.
 
-    The adversary is checked once against the run's layer sizes and q
-    (``check_adversary``); every DAG of the run has the same layers.  A
-    code of one codeword has no minimum distance, so no guarantee to
-    check: its ``guarantee_violations`` stays 0.
+    Trials never read the pool: a pool other than None is only checked
+    to have the code's n.  The adversary is checked once against the
+    run's layer sizes and q (``check_adversary``); every DAG of the run
+    has the same layers.  A code of one codeword has no minimum distance,
+    so no guarantee to check: its ``guarantee_violations`` stays 0.
     """
+    if pool is not None and pool.n != code.n:
+        raise ValueError("pool size differs from the code's ground set")
     check_adversary(adversary, topology.layer_sizes, symbol_map.q)
     stats = ExperimentStats()
     has_distance = len(code) > 1
@@ -590,7 +573,7 @@ def run_experiment(
         else:
             topo = topology
         message = trial_rng.randrange(len(code))
-        result = run_trial(topo, code, pool, symbol_map, adversary, message, trial_seed=t ^ seed)
+        result = run_trial(topo, code, symbol_map, adversary, message, trial_seed=t ^ seed)
         stats.trials += 1
         stats.counts[result.outcome] = stats.counts.get(result.outcome, 0) + 1
         if (result.outcome is not Outcome.SUCCESS and has_distance

@@ -297,7 +297,7 @@ def johnson2_recursive(n: int, k: int, delta: int) -> int:
     return n * johnson2_recursive(n - 1, k - 1, delta) // k
 
 
-def reference_trial(topology, code, pool, symbol_map, adversary, message_index, trial_seed=0):
+def reference_trial(topology, code, symbol_map, adversary, message_index, trial_seed=0):
     """``saf.run_trial`` as a dict of packets in flight per node, corrupted by
     ``saf.apply_adversary``, with each node's in-edges read off ``topology.edges``."""
     transmitted = code.codewords[message_index]
@@ -313,7 +313,7 @@ def reference_trial(topology, code, pool, symbol_map, adversary, message_index, 
             if forwarded is not None:
                 emitted[v] = forwarded
     if not packets:
-        return saf.TrialResult(transmitted, saf.Outcome.NODE_FAILURE, 0, k, (), None, 0, pool)
+        return saf.TrialResult(transmitted, saf.Outcome.NODE_FAILURE, 0, k, (), None, 0)
     recovered = saf.sink_recover(packets, k, symbol_map)
     result = decode(recovered.indices, code)
     decoded = result.codeword
@@ -325,7 +325,7 @@ def reference_trial(topology, code, pool, symbol_map, adversary, message_index, 
         outcome = saf.Outcome.WRONG
     return saf.TrialResult(
         transmitted, outcome, len(set(recovered.indices) - set(transmitted)),
-        k - len(recovered.indices), recovered.indices, decoded, len(result.candidates), pool,
+        k - len(recovered.indices), recovered.indices, decoded, len(result.candidates),
     )
 
 

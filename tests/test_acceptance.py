@@ -172,7 +172,7 @@ def test_criterion_7_saf_end_to_end(code744, pool744):
                     rules=(((0, 1), packet[position], packet[dup]),)
                 )
                 result = saf.run_trial(
-                    direct, code744, pool744, smap, adversary, message
+                    direct, code744, smap, adversary, message
                 )
                 assert result.outcome == saf.Outcome.SUCCESS, (cw, position)
                 assert result.decoded == cw
@@ -190,7 +190,7 @@ def test_criterion_7_saf_end_to_end(code744, pool744):
                         rules=(((0, 1), original, replacement),)
                     )
                     result = saf.run_trial(
-                        direct, code744, pool744, smap, adversary, message
+                        direct, code744, smap, adversary, message
                     )
                     assert result.outcome in (
                         saf.Outcome.SUCCESS, saf.Outcome.DETECTED

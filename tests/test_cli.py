@@ -338,13 +338,19 @@ def test_simulate_json_reports_guarantee_violations(capsys):
 
 
 def test_simulate_random_substitution_over_f2(tmp_path, capsys):
+    # refused when the adversary loads, whether or not a trial would draw a hit
     code, pool = _simulate_files(tmp_path, {"n": 1, "codewords": [[0]]}, {"backend": "set", "n": 1})
-    rc, _, err = run(
-        capsys, "simulate", "--code", code, "--pool", pool, "--topology", '{"layers":3,"width":2}',
-        "--adversary", '{"type":"random_substitution","prob":0.5}',
-    )
-    assert rc == 1
-    assert err == "error: random substitution needs q >= 3: F_2 has no other nonzero symbol\n"
+    for seed in range(1, 7):
+        rc, out, err = run(
+            capsys, "--seed", str(seed), "simulate", "--code", code, "--pool", pool,
+            "--topology", '{"layers":3,"width":2}',
+            "--adversary", '{"type":"random_substitution","prob":0.2,"seed":1}', "--trials", "1",
+        )
+        assert rc == 2 and out == ""
+        assert err == (
+            "error: --adversary: bad adversary document: "
+            "random substitution needs q >= 3: F_2 has no other nonzero symbol\n"
+        )
 
 
 def test_simulate_pool_must_match_code(tmp_path, capsys):

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 
 from cwlattice.cliques import (
+    CompatibilityGraph,
     build_graph,
     count_maximum_cliques,
     extract_code,
@@ -154,9 +155,26 @@ def test_count_rejects_a_graph_without_the_symmetry():
         adjacency = list(g.adjacency)
         adjacency[a] ^= 1 << b
         adjacency[b] ^= 1 << a
-        broken = dataclasses.replace(g, adjacency=tuple(adjacency))
+        # no public path builds such a graph, so overwrite the frozen rows
+        broken = build_graph(4, 2, 2)
+        object.__setattr__(broken, "adjacency", tuple(adjacency))
         with pytest.raises(ValueError, match=message):
             count_maximum_cliques(broken, size)
+
+
+def test_graph_rows_come_only_from_its_parameters():
+    g = build_graph(4, 2, 2)
+    assert g == CompatibilityGraph(4, 2, 2) and g.exact is False
+    for rows in ({"adjacency": g.adjacency}, {"vertices": g.vertices}):
+        with pytest.raises(TypeError):
+            CompatibilityGraph(4, 2, 2, **rows)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(g, **rows)
+    # a replaced parameter rebuilds the rows: at d = 4 only disjoint pairs are adjacent
+    far = dataclasses.replace(g, d=4)
+    assert far == build_graph(4, 2, 4)
+    assert far.adjacency == adjacency_oracle(4, 2, 4, False) != g.adjacency
+    assert count_maximum_cliques(far, 2).count == 3
 
 
 def test_count_trivial_sizes():

@@ -124,21 +124,18 @@ def test_symbol_map_defaults():
     smap = SymbolMap.default(7)
     assert smap.q == 11
     assert smap.encode(0) == 1 and smap.encode(6) == 7
-    assert smap.decode(7) == 6
-    assert smap.decode(9) is None
+    assert smap.decode(7) == 6 and smap.decode(1) == 0
+    assert smap.decode(9) is None and smap.decode(8) is None and smap.decode(0) is None
     with pytest.raises(ValueError):
         smap.encode(7)
 
 
 def test_symbol_map_validation():
     with pytest.raises(ValueError, match="prime"):
-        SymbolMap(q=10, table=(1, 2))
-    with pytest.raises(ValueError, match="injective"):
-        SymbolMap(q=11, table=(1, 1))
-    with pytest.raises(ValueError, match="nonzero"):
-        SymbolMap(q=11, table=(0, 1))
+        SymbolMap(q=10, n=2)
     with pytest.raises(ValueError, match="q > n"):
-        SymbolMap(q=5, table=(1, 2, 3, 4, 1))
+        SymbolMap(q=5, n=5)
+    assert SymbolMap(q=5, n=4) == SymbolMap.default(4)
 
 
 def test_source_encode():
@@ -254,7 +251,7 @@ def test_check_adversary_accepts_what_a_run_can_use(code744, pool744):
                        EdgeErasure(edges=((3, 8),)), trials=0)
 
 
-def test_erasure_leaves_disjoint_path_intact(code744, pool744):
+def test_erasure_leaves_disjoint_path_intact(code744):
     # two parallel source->middle->sink paths; erase one of them
     topo = NetworkTopology(
         layer_sizes=(1, 2, 1),
@@ -263,7 +260,7 @@ def test_erasure_leaves_disjoint_path_intact(code744, pool744):
     )
     smap = SymbolMap.default(7)
     adversary = EdgeErasure(edges=((0, 1), (1, 3)))
-    result = run_trial(topo, code744, pool744, smap, adversary, message_index=2)
+    result = run_trial(topo, code744, smap, adversary, message_index=2)
     assert result.outcome == Outcome.SUCCESS
 
 
@@ -288,7 +285,7 @@ REFERENCE_SHAPES = ((2, 1, 1, 0.5), (4, 3, 3, 0.5), (6, 4, 3, 0.2), (5, 5, 2, 0.
 
 
 @pytest.mark.parametrize("adversary, name", zip(REFERENCE_ADVERSARIES, REFERENCE_IDS), ids=REFERENCE_IDS)
-def test_run_trial_matches_reference_trial(code744, pool744, adversary, name):
+def test_run_trial_matches_reference_trial(code744, adversary, name):
     smap = SymbolMap.default(7)
     rng = random.Random(f"reference:{name}")
     outcomes = set()
@@ -296,10 +293,9 @@ def test_run_trial_matches_reference_trial(code744, pool744, adversary, name):
         for _ in range(40):
             topo = random_dag(layers, width, indegree, density, seed=rng.randrange(2 ** 32))
             message, trial_seed = rng.randrange(len(code744)), rng.randrange(2 ** 32)
-            got = run_trial(topo, code744, pool744, smap, adversary, message, trial_seed)
-            want = reference_trial(topo, code744, pool744, smap, adversary, message, trial_seed)
+            got = run_trial(topo, code744, smap, adversary, message, trial_seed)
+            want = reference_trial(topo, code744, smap, adversary, message, trial_seed)
             assert got == want
-            assert got.decoded_element == want.decoded_element
             outcomes.add(got.outcome)
     if name in REFERENCE_OUTCOMES:
         assert outcomes == {REFERENCE_OUTCOMES[name]}
@@ -307,24 +303,6 @@ def test_run_trial_matches_reference_trial(code744, pool744, adversary, name):
     assert Outcome.SUCCESS in outcomes
     if adversary.kind != "none":
         assert len(outcomes) > 1
-
-
-def test_decoded_element_is_composed_only_when_read(code744, pool744):
-    class CountingPool:
-        n = pool744.n
-        calls = 0
-
-        def compose(self, subset):
-            CountingPool.calls += 1
-            return pool744.compose(subset)
-
-    smap = SymbolMap.default(7)
-    result = run_trial(DIRECT, code744, CountingPool(), smap, NoAdversary(), message_index=3)
-    assert CountingPool.calls == 0
-    assert result.decoded_element == pool744.compose(code744.codewords[3])
-    assert CountingPool.calls == 1
-    bare = run_trial(DIRECT, code744, None, smap, NoAdversary(), message_index=3)
-    assert bare == result and bare.decoded_element is None
 
 
 @pytest.mark.parametrize("prob", [0.0, 0.05, 0.3, 1.0])
@@ -359,44 +337,51 @@ def test_only_models_with_a_seed_get_an_rng():
 
 
 def test_random_substitution_over_f2_names_q():
-    rng = random.Random(0)
-    assert RandomSubstitution(prob=0.0).corrupt((0, 1), (1,), 2, rng) == (1,)
-    with pytest.raises(ValueError, match="q >= 3"):
-        RandomSubstitution(prob=1.0).corrupt((0, 1), (1,), 2, rng)
+    # F_2 has one nonzero symbol, so a model that may act is refused before any trial
+    check_adversary(RandomSubstitution(prob=0.0), (1, 1), 2)
+    check_adversary(RandomSubstitution(prob=0.5), (1, 1), 3)
+    message = "random substitution needs q >= 3: F_2 has no other nonzero symbol"
+    for prob in (1e-9, 0.2, 1.0):
+        with pytest.raises(ValueError, match=message):
+            check_adversary(RandomSubstitution(prob=prob), (1, 1), 2)
+    code = ConstantWeightCode(1, [(0,)])
+    for seed in range(1, 7):
+        with pytest.raises(ValueError, match=message):
+            run_experiment(code, None, SymbolMap.default(1), DIRECT,
+                           RandomSubstitution(0.2, seed=seed), trials=1, seed=seed)
 
 
-def test_trial_clean_channel(code744, pool744):
+def test_trial_clean_channel(code744):
     smap = SymbolMap.default(7)
-    result = run_trial(DIRECT, code744, pool744, smap, NoAdversary(), message_index=0)
+    result = run_trial(DIRECT, code744, smap, NoAdversary(), message_index=0)
     assert result.outcome == Outcome.SUCCESS
     assert result.decoded == code744.codewords[0]
-    assert result.decoded_element == pool744.compose(code744.codewords[0])
 
 
-def test_trial_targeted_substitution_detected(code744, pool744):
+def test_trial_targeted_substitution_detected(code744):
     # transmit indices {1,3,5,6}; replace symbol 6 (index 5) with 5 (index 4)
     smap = SymbolMap.default(7)
     adversary = TargetedSubstitution(rules=(((0, 1), 6, 5),))
-    result = run_trial(DIRECT, code744, pool744, smap, adversary, message_index=5)
+    result = run_trial(DIRECT, code744, smap, adversary, message_index=5)
     assert result.outcome == Outcome.DETECTED
     assert result.ties == 3
     assert result.errors_at_sink == 1 and result.erasures_at_sink == 0
 
 
-def test_trial_single_erasure_succeeds(code744, pool744):
+def test_trial_single_erasure_succeeds(code744):
     # substitute symbol 6 by the already present symbol 4: dedup drops it
     smap = SymbolMap.default(7)
     adversary = TargetedSubstitution(rules=(((0, 1), 6, 4),))
-    result = run_trial(DIRECT, code744, pool744, smap, adversary, message_index=5)
+    result = run_trial(DIRECT, code744, smap, adversary, message_index=5)
     assert result.outcome == Outcome.SUCCESS
     assert result.erasures_at_sink == 1 and result.errors_at_sink == 0
     assert result.decoded == (1, 3, 5, 6)
 
 
-def test_trial_total_erasure_is_node_failure(code744, pool744):
+def test_trial_total_erasure_is_node_failure(code744):
     smap = SymbolMap.default(7)
     adversary = EdgeErasure(edges=((0, 1),))
-    result = run_trial(DIRECT, code744, pool744, smap, adversary, message_index=0)
+    result = run_trial(DIRECT, code744, smap, adversary, message_index=0)
     assert result.outcome == Outcome.NODE_FAILURE
 
 
@@ -422,22 +407,23 @@ def test_seeded_experiment_results_are_pinned(code744, pool744, adversary, count
     assert stats.guarantee_violations == 0
 
 
-def test_trial_determinism(code744, pool744):
+def test_trial_determinism(code744):
     smap = SymbolMap.default(7)
     adversary = RandomSubstitution(prob=0.3, seed=9)
     topo = random_dag(layers=4, width=3, max_indegree=3, seed=11)
-    a = run_trial(topo, code744, pool744, smap, adversary, 4, trial_seed=123)
-    b = run_trial(topo, code744, pool744, smap, adversary, 4, trial_seed=123)
+    a = run_trial(topo, code744, smap, adversary, 4, trial_seed=123)
+    b = run_trial(topo, code744, smap, adversary, 4, trial_seed=123)
     assert a == b
 
 
 def test_trial_parameter_validation(code744, pool744):
-    smap = SymbolMap(q=7, table=(1, 2, 3, 4, 5, 6))
+    smap = SymbolMap(q=7, n=6)
     with pytest.raises(ValueError, match="q > n"):
-        run_trial(DIRECT, code744, pool744, smap, NoAdversary(), 0)
+        run_trial(DIRECT, code744, smap, NoAdversary(), 0)
     small = ConstantWeightCode(3, [(0, 1), (1, 2)])
+    # the pool is checked once per run, before the first trial
     with pytest.raises(ValueError, match="pool size"):
-        run_trial(DIRECT, small, pool744, SymbolMap.default(3), NoAdversary(), 0)
+        run_experiment(small, pool744, SymbolMap.default(3), DIRECT, NoAdversary(), trials=0)
 
 
 def test_experiment_clean_statistics(code744, pool744):
