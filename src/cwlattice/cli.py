@@ -26,6 +26,7 @@ from cwlattice.gf import Polynomial
 from cwlattice.lattice import (
     FiniteLattice,
     MultiplicationTable,
+    SizeLimitError,
     check_primary,
     check_prime,
 )
@@ -346,7 +347,12 @@ def cmd_lattice(args) -> int:
             f"sides agree: {report.agree}"
         )
     if args.element is not None:
-        decs = lat.irreducible_decompositions(args.element)
+        try:
+            decs = lat.irreducible_decompositions(args.element)
+        except SizeLimitError:
+            raise
+        except ValueError as exc:  # the element is not in the lattice
+            raise SchemaError(f"--element: {exc}") from None
         payload["decompositions"] = [sorted(s) for s in decs]
         lines.append(f"decompositions of {args.element}: {[sorted(s) for s in decs]}")
     if table is not None:

@@ -31,8 +31,10 @@ bit string 0010101100101001, i.e. "2B29".  It is the packed form with
 
 Irreducibility is decided by Ben-Or's test: f of degree n is
 irreducible iff gcd(X^(p^i) - X mod f, f) = 1 for 1 <= i <= n/2, with
-X^(p^i) by square and multiply mod f.  It costs time polynomial in n
-and log p.
+X^(p^i) by square and multiply mod f.  The residues are multiplied
+together mod f and one gcd of the product with f decides, since an
+irreducible factor of f divides the product exactly when it divides
+one of the factors.  It costs time polynomial in n and log p.
 """
 
 from __future__ import annotations
@@ -337,8 +339,8 @@ def is_irreducible(f: Polynomial) -> bool:
         rem = _divmod_packed(a * b, 2 * n - 2, packed_f, n + 1, inv, p, w)[1]
         return _pack(_reduced(_unpack(rem, n, w), p), w)
 
-    x = Polynomial(f.field, (0, 1))
     power = 1 << w  # X, then X^(p^i) mod f
+    product = 1  # the product of X^(p^i) - X mod f so far
     for _ in range(n // 2):
         # raise to the p-th power by square and multiply
         base = power
@@ -346,10 +348,14 @@ def is_irreducible(f: Polynomial) -> bool:
             power = mulmod(power, power)
             if bit == "1":
                 power = mulmod(power, base)
-        # gcd(power - X, f) by Euclid, stopping at a constant remainder
-        g, r = f, Polynomial(f.field, _unpack(power, n, w)) - x
-        while r.degree > 0:
-            g, r = r, g % r
-        if not r:
-            return False
-    return True
+        # n >= 2 here, so slot 1 holds the coefficient of X
+        factor = _unpack(power, n, w)
+        factor[1] = (factor[1] - 1) % p
+        product = mulmod(product, _pack(factor, w))
+    # an irreducible factor of f divides the product exactly when it
+    # divides one of its factors, so one gcd with f decides: Euclid,
+    # stopping at a constant remainder
+    g, r = f, Polynomial(f.field, _unpack(product, n, w))
+    while r.degree > 0:
+        g, r = r, g % r
+    return bool(r)

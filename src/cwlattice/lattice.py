@@ -9,7 +9,9 @@ verifies the result is a partial order with unique top and bottom, and
 checks that every pair of elements has a unique greatest lower bound
 and least upper bound: the meet of i and j is the element whose down
 row is ``down[i] & down[j]``, the join the one whose up row is
-``up[i] & up[j]``.  Meets and joins are precomputed.
+``up[i] & up[j]``.  Meets and joins are precomputed in two symmetric
+tables, each entry i <= j found by one dict lookup of its row and
+mirrored, O(m^2) per table.
 
 On top of that the module computes meet-irreducible elements (in a
 finite lattice, exactly the elements with one upper cover),
@@ -20,11 +22,12 @@ having a unique irredundant irreducible decomposition, which
 ``decomposition_theorem_report`` checks from both sides.
 
 An optional commutative multiplication table compatible with the order
-(xy <= x meet y) supports the prime and primary element tests.  Both
-are closure checks on the down row D of the tested element: p is prime
-iff ab lies outside D for all a, b outside D, and q is primary iff ab
-lies outside D for every a outside D and every b none of whose powers
-lies in D.
+(xy <= x meet y) supports the prime and primary element tests.  The
+sweep that validates the table also marks, as bitsets over the
+elements, every x that some pair (a, b) refutes: ab <= x while
+a, b are not <= x refutes x as prime, and ab <= x while neither a nor
+any power of b is <= x refutes x as primary.  ``check_prime`` and
+``check_primary`` then read one bit.
 """
 
 from __future__ import annotations
@@ -52,8 +55,11 @@ class FiniteLattice:
         full = (1 << m) - 1
 
         up = [1 << i for i in range(m)]
-        for lo, hi in covers:
-            i, j = self._idx(lo), self._idx(hi)
+        for n, (lo, hi) in enumerate(covers):
+            try:
+                i, j = self._idx(lo), self._idx(hi)
+            except ValueError as exc:
+                raise ValueError(f"covers[{n}]: {exc}") from None
             if i == j:
                 raise ValueError(f"cover ({lo}, {hi}) relates an element to itself")
             up[i] |= 1 << j
@@ -85,8 +91,10 @@ class FiniteLattice:
                 if above & down[j] == 1 << j:
                     self._cover_up[i] |= 1 << j
 
-        self._meet = [[self._bound(down, i, j) for j in range(m)] for i in range(m)]
-        self._join = [[self._bound(up, i, j) for j in range(m)] for i in range(m)]
+        # with a top, all meets existing makes every join exist (the meet
+        # of the common upper bounds), so only the meet table can fail
+        self._meet = self._bounds(down, "greatest lower")
+        self._join = self._bounds(up, "least upper")
 
     def _idx(self, label: str) -> int:
         try:
@@ -94,17 +102,28 @@ class FiniteLattice:
         except KeyError:
             raise ValueError(f"unknown lattice element {label!r}") from None
 
-    def _bound(self, rows: list[int], i: int, j: int) -> int:
-        """The element whose row is rows[i] & rows[j]: the meet on down
-        rows, the join on up rows."""
-        try:
-            return rows.index(rows[i] & rows[j])
-        except ValueError:
-            kind = "greatest lower" if rows is self._down else "least upper"
-            raise ValueError(
-                f"elements {self.elements[i]!r}, {self.elements[j]!r} lack a unique "
-                f"{kind} bound; the order is not a lattice"
-            ) from None
+    def _bounds(self, rows: list[int], kind: str) -> list[list[int]]:
+        """The table whose entry (i, j) is the element with row rows[i] & rows[j]:
+        the meet on down rows, the join on up rows.
+
+        Rows are distinct, so one dict finds each entry; the table is
+        symmetric, so only i <= j is looked up.  Scanning those pairs row
+        by row meets the same first pair without a bound as a full scan.
+        """
+        at = {row: i for i, row in enumerate(rows)}
+        m = len(rows)
+        table = [[0] * m for _ in range(m)]
+        for i, row in enumerate(rows):
+            line = table[i]
+            for j in range(i, m):
+                bound = at.get(row & rows[j])
+                if bound is None:
+                    raise ValueError(
+                        f"elements {self.elements[i]!r}, {self.elements[j]!r} lack a unique "
+                        f"{kind} bound; the order is not a lattice"
+                    )
+                line[j] = table[j][i] = bound
+        return table
 
     # order primitives -------------------------------------------------
 
@@ -257,25 +276,59 @@ class TheoremReport:
 
 
 class MultiplicationTable:
-    """Commutative multiplication on lattice elements with xy <= x meet y."""
+    """Commutative multiplication on lattice elements with xy <= x meet y.
+
+    ``rows[i][j]`` is the product of elements i and j, by label; a label
+    the lattice lacks is reported at ``mult[i][j]``, the lattice
+    document's field for the table.
+
+    The validating sweep also collects the elements each pair refutes as
+    prime or primary (module docstring); it visits each unordered pair
+    once and refutes for both orders of it.
+    """
 
     def __init__(self, lattice: FiniteLattice, rows: Sequence[Sequence[str]]):
         m = len(lattice)
         if len(rows) != m or any(len(r) != m for r in rows):
             raise ValueError(f"table must be {m}x{m} in element order")
-        table = [[lattice._idx(v) for v in row] for row in rows]
+        table = []
+        for i, row in enumerate(rows):
+            line = []
+            for j, v in enumerate(row):
+                try:
+                    line.append(lattice._idx(v))
+                except ValueError as exc:
+                    raise ValueError(f"mult[{i}][{j}]: {exc}") from None
+            table.append(line)
+        self.lattice = lattice
+        self._table = table
+        up, meet = lattice._up, lattice._meet
+        # the elements above some power of b
+        power_up = [0] * m
+        for b in range(m):
+            for x in self._powers(b):
+                power_up[b] |= up[x]
+        # the pairs i <= j reach the first fault of a scan over all pairs;
+        # up[b] is a subset of power_up[b], so the elements a pair refutes
+        # as primary are among those it refutes as prime
+        not_prime = not_primary = 0
         for i in range(m):
-            for j in range(m):
-                if table[i][j] != table[j][i]:
+            line, meet_i, up_i, power_i = table[i], meet[i], up[i], power_up[i]
+            for j in range(i, m):
+                prod = line[j]
+                if prod != table[j][i]:
                     raise ValueError("multiplication must be commutative")
-                prod = table[i][j]
-                if not lattice._up[prod] >> lattice._meet[i][j] & 1:
+                above = up[prod]
+                if not above >> meet_i[j] & 1:
                     raise ValueError(
                         f"product of {lattice.elements[i]!r} and "
                         f"{lattice.elements[j]!r} is not below their meet"
                     )
-        self.lattice = lattice
-        self._table = table
+                refuted = above & ~(up_i | up[j])
+                if refuted:
+                    not_prime |= refuted
+                    not_primary |= refuted & ~(power_i & power_up[j])
+        self._not_prime, self._not_primary = not_prime, not_primary
 
     def mul(self, a: str, b: str) -> str:
         lat = self.lattice
@@ -300,19 +353,12 @@ class MultiplicationTable:
 
 def check_prime(lattice: FiniteLattice, table: MultiplicationTable, p: str) -> bool:
     """p >= ab implies p >= a or p >= b, for all a, b."""
-    down = lattice._down[lattice._idx(p)]
-    outside = [a for a in range(len(lattice)) if not down >> a & 1]
-    return all(not down >> table._table[a][b] & 1 for a in outside for b in outside)
+    return not table._not_prime >> lattice._idx(p) & 1
 
 
 def check_primary(lattice: FiniteLattice, table: MultiplicationTable, q: str) -> bool:
     """q >= ab and q not >= a imply q >= b^s for some s."""
-    down = lattice._down[lattice._idx(q)]
-    outside = [a for a in range(len(lattice)) if not down >> a & 1]
-    no_power_below = [
-        b for b in outside if not any(down >> x & 1 for x in table._powers(b))
-    ]
-    return all(not down >> table._table[a][b] & 1 for a in outside for b in no_power_below)
+    return not table._not_primary >> lattice._idx(q) & 1
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,9 @@ All randomness is seeded; a trial is a pure function of its seeds.  The
 models with a ``seed`` field (random substitution, edge erasure) draw
 from a ``random.Random`` seeded per trial; the others never draw and
 get None.  ``run_experiment`` checks the pool size once per run, and
-the adversary against the layers and q (``check_adversary``).
+the adversary against the layers and q (``check_adversary``); a single
+``run_trial`` still refuses random substitution over F_2 before its
+first draw.
 """
 
 from __future__ import annotations
@@ -363,6 +365,12 @@ def _adversary_rng(model: Adversary, trial_seed: int) -> random.Random | None:
     return random.Random(f"adversary:{base}:{trial_seed}")
 
 
+def _check_substitution_room(model: Adversary, q: int) -> None:
+    """Random substitution that may act needs a second nonzero symbol to draw."""
+    if isinstance(model, RandomSubstitution) and model.prob and q < 3:
+        raise ValueError(f"random substitution needs q >= 3: F_{q} has no other nonzero symbol")
+
+
 def check_adversary(model: Adversary, layer_sizes: Sequence[int], q: int) -> None:
     """Raise ValueError naming the first rule or listed edge no trial can use.
 
@@ -371,8 +379,7 @@ def check_adversary(model: Adversary, layer_sizes: Sequence[int], q: int) -> Non
     run from an earlier layer to a later one, with v no later than the
     sink.  O(rules + edges); a model with neither returns at once.
     """
-    if isinstance(model, RandomSubstitution) and model.prob and q < 3:
-        raise ValueError(f"random substitution needs q >= 3: F_{q} has no other nonzero symbol")
+    _check_substitution_room(model, q)
     rules = getattr(model, "rules", ())
     edges = getattr(model, "edges", ())
     if not (rules or edges):
@@ -434,9 +441,10 @@ def run_trial(
     if symbol_map.n < code.n:
         # a SymbolMap has q > its own n, so this check also gives q > n
         raise ValueError("symbol map must cover the pool, so that q > n")
+    q = symbol_map.q
+    _check_substitution_room(adversary, q)
     transmitted = code.codewords[message_index]
     k = code.k
-    q = symbol_map.q
     corrupt = adversary.corrupt
     rng = _adversary_rng(adversary, trial_seed)
     preds = topology.preds

@@ -233,6 +233,22 @@ def test_lattice_analysis(tmp_path, capsys):
     assert sorted(map(sorted, obj["decompositions"])) == [["a", "b"], ["b", "c"]]
 
 
+def test_lattice_unknown_element_names_the_flag(tmp_path, capsys):
+    path = tmp_path / "n5.json"
+    path.write_text(json.dumps(pentagon_n5().to_json()))
+    rc, _, err = run(capsys, "lattice", "--file", str(path), "--element", "zz")
+    assert rc == 2
+    assert err == "error: --element: unknown lattice element 'zz'\n"
+    # a lattice too large for the subset scan stays a domain error
+    atoms = [f"a{i}" for i in range(21)]
+    wide = {"elements": ["0", *atoms, "1"],
+            "covers": [["0", a] for a in atoms] + [[a, "1"] for a in atoms]}
+    path.write_text(json.dumps(wide))
+    rc, _, err = run(capsys, "lattice", "--file", str(path), "--element", "0")
+    assert rc == 1
+    assert err == "error: too many meet-irreducibles for a subset scan\n"
+
+
 def test_lattice_theorem_past_twelve_elements(tmp_path, capsys):
     path = tmp_path / "b4.json"
     path.write_text(json.dumps(boolean_lattice(4).to_json()))

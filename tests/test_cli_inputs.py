@@ -81,8 +81,12 @@ def load(kind: str, text: str, directory):
         ("code", {"n": 7, "k": 5, "codewords": [[0, 1, 2, 3], [0, 1, 4, 5]]}, "claims k=5"),
         ("code", {"n": 7, "codewords": []}, "at least one codeword"),
         ("lattice", {"elements": ["0", "1"], "covers": [["0", "2"]]}, "'2'"),
+        ("lattice", {"elements": ["0", "1", "2"], "covers": [["0", "1"], ["1", "zz"]]},
+         "covers[1]: unknown lattice element 'zz'"),
         ("lattice", {"elements": ["0", "1"], "covers": [["0", "1"]],
                      "mult": [["0", "x"], ["x", "1"]]}, "'x'"),
+        ("lattice", {"elements": ["0", "1"], "covers": [["0", "1"]],
+                     "mult": [["0", "0"], ["0", "zz"]]}, "mult[1][1]: unknown lattice element 'zz'"),
         ("lattice", {"elements": ["0", "1"], "covers": [["0", "1"]], "mult": [["0"]]}, "2x2"),
         ("lattice", {"elements": [0, 1], "covers": []}, "'elements'"),
         ("adversary", {"type": "edge_erasure", "edges": [[0, "x"]]}, "'edges'"),
@@ -101,7 +105,8 @@ def load(kind: str, text: str, directory):
         "pool-empty", "pool-constituent-item", "pool-field-of-other-backend",
         "pool-coefficient-range", "pool-constituent-hex",
         "code-codeword-item", "code-unknown-key", "code-wrong-k", "code-no-codewords",
-        "lattice-cover-unknown", "lattice-mult-unknown", "lattice-mult-size",
+        "lattice-cover-unknown", "lattice-cover-field", "lattice-mult-unknown",
+        "lattice-mult-field", "lattice-mult-size",
         "lattice-int-labels",
         "erasure-edge-item", "rule-short-edge", "rule-not-object", "adversary-str-seed",
         "rule-str-symbol", "adversary-no-type", "substitution-no-prob",

@@ -212,18 +212,22 @@ def test_irreducible_rejects_constants(f2):
 
 
 def test_irreducible_matches_factor_enumeration_upto_degree_8():
-    # oracle: f is reducible iff some monic divisor of degree 1..deg-1 exists;
-    # degree 8 over GF(2), fewer degrees over larger fields
-    for p, top in ((2, 8), (3, 5), (5, 4), (7, 3)):
+    # oracle: f is reducible iff some monic divisor of degree 1..deg/2 exists
+    # (a factorization has a factor of at most half the degree); degree 8
+    # over GF(2), fewer degrees over larger fields.  Every monic f is also
+    # tested times the scalars 2 and p - 1, which keep the answer.
+    for p, top in ((2, 8), (3, 5), (5, 4), (7, 3), (11, 3), (13, 3)):
         field = PrimeField(p)
+        scalars = [Polynomial(field, [c]) for c in sorted({1, min(2, p - 1), p - 1})]
         for degree in range(1, top + 1):
             for f in monic_polynomials(field, degree):
                 has_factor = any(
                     not f % g
-                    for d in range(1, degree)
+                    for d in range(1, degree // 2 + 1)
                     for g in monic_polynomials(field, d)
                 )
-                assert is_irreducible(f) == (not has_factor), f"{f!r}"
+                for c in scalars:
+                    assert is_irreducible(c * f) == (not has_factor), f"{c * f!r}"
 
 
 def test_hex_worked_value(f2):

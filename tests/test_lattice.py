@@ -48,13 +48,18 @@ def test_construction_rejects_non_lattices():
     # cycle
     with pytest.raises(ValueError):
         FiniteLattice(["a", "b"], [("a", "b"), ("b", "a")])
-    # bowtie: x, y have no unique upper bound below the two tops
-    with pytest.raises(ValueError):
-        FiniteLattice(
-            ["0", "x", "y", "p", "q", "1"],
-            [("0", "x"), ("0", "y"), ("x", "p"), ("y", "p"),
-             ("x", "q"), ("y", "q"), ("p", "1"), ("q", "1")],
-        )
+    # bowtie: x, y have no least upper bound, and p, q no greatest lower
+    # bound; meets are tabled first, and in a finite order with a bottom
+    # and a top, all meets existing makes every join exist, so the message
+    # names the first pair without a meet
+    covers = [("0", "x"), ("0", "y"), ("x", "p"), ("y", "p"),
+              ("x", "q"), ("y", "q"), ("p", "1"), ("q", "1")]
+    with pytest.raises(ValueError, match="'p', 'q' lack a unique greatest lower bound"):
+        FiniteLattice(["0", "x", "y", "p", "q", "1"], covers)
+    # the dual bowtie: the same covers turned upside down
+    dual = [(hi, lo) for lo, hi in covers]
+    with pytest.raises(ValueError, match="'x', 'y' lack a unique greatest lower bound"):
+        FiniteLattice(["0", "x", "y", "p", "q", "1"], dual)
 
 
 def test_meet_join_against_order_oracle():
@@ -203,6 +208,31 @@ def test_prime_and_primary_match_definition():
                     assert check_primary(lat, table, x) == primary_oracle(lat, table, x), (lat.to_json(), rows, x)
                 tables += 1
     assert tables == 7 * 51
+    # past m = 6: a Boolean lattice under its meet, the exponent lattice
+    # 3^3 under capped sums (ideals of R/(p1^2 p2^2 p3^2), where primary
+    # and prime differ), and the irreducible but not primary example
+    b4 = boolean_lattice(4)
+    vectors = list(itertools.product(range(3), repeat=3))
+    name = {v: "".join(map(str, v)) for v in vectors}
+    exponents = FiniteLattice(
+        [name[v] for v in vectors],
+        [(name[v[:i] + (v[i] + 1,) + v[i + 1:]], name[v])
+         for v in vectors for i in range(3) if v[i] < 2],
+    )
+    capped = [[name[tuple(min(x + y, 2) for x, y in zip(u, v))] for v in vectors] for u in vectors]
+    cases = [
+        (b4, MultiplicationTable(b4, [[b4.meet(a, b) for b in b4.elements] for a in b4.elements])),
+        (exponents, MultiplicationTable(exponents, capped)),
+        irreducible_not_primary_example(),
+    ]
+    for lat, table in cases:
+        for x in lat.elements:
+            assert check_prime(lat, table, x) == prime_oracle(lat, table, x), (lat, x)
+            assert check_primary(lat, table, x) == primary_oracle(lat, table, x), (lat, x)
+    primes = [x for x in exponents.elements if check_prime(exponents, cases[1][1], x)]
+    primaries = [x for x in exponents.elements if check_primary(exponents, cases[1][1], x)]
+    assert primes == ["000", "001", "010", "100"]
+    assert primaries == ["000", "001", "002", "010", "020", "100", "200"]
 
 
 def test_example_irreducible_but_not_primary():

@@ -349,6 +349,11 @@ def test_random_substitution_over_f2_names_q():
         with pytest.raises(ValueError, match=message):
             run_experiment(code, None, SymbolMap.default(1), DIRECT,
                            RandomSubstitution(0.2, seed=seed), trials=1, seed=seed)
+    # a single trial refuses it too, before its first draw
+    with pytest.raises(ValueError, match=message):
+        run_trial(DIRECT, code, SymbolMap.default(1), RandomSubstitution(1.0, seed=1), 0)
+    quiet = run_trial(DIRECT, code, SymbolMap.default(1), RandomSubstitution(0.0, seed=1), 0)
+    assert quiet.outcome == Outcome.SUCCESS
 
 
 def test_trial_clean_channel(code744):
