@@ -195,7 +195,13 @@ def decode(received: Iterable[int], code: ConstantWeightCode) -> DecodeResult:
     planes = _intersection_planes(code._members, rec, code._width)
     hits, winners = _largest(planes, (1 << len(cws)) - 1)
     if winners & (winners - 1):
-        candidates = tuple(cw for s, cw in enumerate(cws) if winners >> s & 1)
+        # a tie: the winners' set bits, lowest first, in codeword order
+        ties = []
+        while winners:
+            low = winners & -winners
+            ties.append(cws[low.bit_length() - 1])
+            winners ^= low
+        candidates = tuple(ties)
     else:
         candidates = (cws[winners.bit_length() - 1],)
     return DecodeResult(len(rec) + code.k - 2 * hits, candidates)

@@ -34,7 +34,9 @@ irreducible iff gcd(X^(p^i) - X mod f, f) = 1 for 1 <= i <= n/2, with
 X^(p^i) by square and multiply mod f.  The residues are multiplied
 together mod f and one gcd of the product with f decides, since an
 irreducible factor of f divides the product exactly when it divides
-one of the factors.  It costs time polynomial in n and log p.
+one of the factors.  It costs time polynomial in n and log p.  Over
+fields with p <= 32n a scan for roots runs first: a root of f of degree
+n >= 2 is a linear factor, so most reducible inputs stop there.
 """
 
 from __future__ import annotations
@@ -322,7 +324,7 @@ def monic_polynomials(field: PrimeField, degree: int) -> Iterator[Polynomial]:
 
 
 def is_irreducible(f: Polynomial) -> bool:
-    """Ben-Or irreducibility test on the packed kernel.
+    """A root scan over small fields, then Ben-Or's test on the packed kernel.
 
     Raises ValueError for constant input: units and zero are neither
     reducible nor irreducible here.
@@ -330,6 +332,16 @@ def is_irreducible(f: Polynomial) -> bool:
     if f.degree < 1:
         raise ValueError("irreducibility is undefined for constant polynomials")
     p, n = f.field.p, f.degree
+    if 2 <= n and p <= 32 * n:
+        # a root x gives the factor X - x.  The scan costs p Horner runs of
+        # n + 1 steps, under half the time of the powers below while p <= 32n
+        high_first = f.coeffs[::-1]
+        for x in range(p):
+            value = 0
+            for c in high_first:
+                value = value * x + c
+            if not value % p:
+                return False
     # a product of two residues mod f puts at most n products of two
     # residues in a slot, and dividing it by f (n + 1 slots) adds n + 1
     w = _slot_width(p, 2 * n + 1)

@@ -92,9 +92,10 @@ class FiniteLattice:
                     self._cover_up[i] |= 1 << j
 
         # with a top, all meets existing makes every join exist (the meet
-        # of the common upper bounds), so only the meet table can fail
-        self._meet = self._bounds(down, "greatest lower")
-        self._join = self._bounds(up, "least upper")
+        # of the common upper bounds), so only the meet table can fail and
+        # _bounds names only the greatest lower bound
+        self._meet = self._bounds(down)
+        self._join = self._bounds(up)
 
     def _idx(self, label: str) -> int:
         try:
@@ -102,7 +103,7 @@ class FiniteLattice:
         except KeyError:
             raise ValueError(f"unknown lattice element {label!r}") from None
 
-    def _bounds(self, rows: list[int], kind: str) -> list[list[int]]:
+    def _bounds(self, rows: list[int]) -> list[list[int]]:
         """The table whose entry (i, j) is the element with row rows[i] & rows[j]:
         the meet on down rows, the join on up rows.
 
@@ -120,7 +121,7 @@ class FiniteLattice:
                 if bound is None:
                     raise ValueError(
                         f"elements {self.elements[i]!r}, {self.elements[j]!r} lack a unique "
-                        f"{kind} bound; the order is not a lattice"
+                        "greatest lower bound; the order is not a lattice"
                     )
                 line[j] = table[j][i] = bound
         return table

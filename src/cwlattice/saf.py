@@ -28,7 +28,11 @@ dedup emits nothing shorter).  Dedup returns such a packet unchanged
 when it comes first, so a node whose first arriving packet is the one
 its tail emitted forwards that packet without dedup.
 
-All randomness is seeded; a trial is a pure function of its seeds.  The
+All randomness is seeded; a trial is a pure function of its seeds.
+``random_dag`` repairs an in-degree by drawing inline, consuming exactly
+the words ``random.Random.sample`` would, so its DAGs are those a
+``sample`` call gives; the tests compare the two on each interpreter
+they run on.  The
 models with a ``seed`` field (random substitution, edge erasure) draw
 from a ``random.Random`` seeded per trial; the others never draw and
 get None.  ``run_experiment`` checks the pool size once per run, and
@@ -137,6 +141,44 @@ def _layer_sizes(layers: int, width: int) -> tuple[int, ...]:
     return (1, *([width] * (layers - 2)), 1)
 
 
+def _sorted_sample(getrandbits, chosen: Sequence[int], m: int) -> tuple[int, ...]:
+    """``tuple(sorted(rng.sample(chosen, m)))`` for ``getrandbits = rng.getrandbits``.
+
+    Consumes exactly the words ``random.Random.sample`` would, so the
+    rest of the stream is unchanged: both of its branches, each pick by
+    the rejection draw of ``_randbelow_with_getrandbits`` (draw
+    ``bit_length`` bits until below the bound).  Needs 0 <= m <= len(chosen).
+    """
+    n = len(chosen)
+    setsize = 21
+    if m > 5:
+        # 4 ** ceil(log(3m, 4)): 3m is never a power of 4, so this is the
+        # least power of 4 above 3m
+        setsize += 4 ** (((3 * m - 1).bit_length() + 1) // 2)
+    if n <= setsize:
+        # pool branch: pick below the shrinking bound, then move the last
+        # unpicked candidate into the vacancy
+        pool = list(chosen)
+        picks = []
+        for bound in range(n, n - m, -1):
+            bits = bound.bit_length()
+            j = getrandbits(bits)
+            while j >= bound:
+                j = getrandbits(bits)
+            picks.append(pool[j])
+            pool[j] = pool[bound - 1]
+        picks.sort()
+        return tuple(picks)
+    # set branch: redraw until below n and not yet picked
+    bits = n.bit_length()
+    picked: set[int] = set()
+    while len(picked) < m:
+        j = getrandbits(bits)
+        if j < n:
+            picked.add(j)
+    return tuple(sorted([chosen[j] for j in picked]))
+
+
 def random_dag(
     layers: int,
     width: int,
@@ -153,10 +195,16 @@ def random_dag(
     ``max_indegree``.  Candidates are scanned in ascending order and a
     repair sample is sorted, so each node's predecessor tuple is built
     sorted as it is drawn.
+
+    Stream contract: one ``random.Random(seed)`` per DAG, one ``random()``
+    per candidate edge, ``choice`` for a node that drew no edge, and a
+    repair that consumes exactly the words ``random.Random.sample`` would
+    (``_sorted_sample``), so a seed gives the same DAG as with ``sample``.
     """
     _check_topology(layers, width, max_indegree, edge_density)
     rng = random.Random(seed)
     draw = rng.random
+    getrandbits = rng.getrandbits
     layer_sizes = _layer_sizes(layers, width)
     preds: list[tuple[int, ...]] = [()]
     first = 1  # first node of the current layer
@@ -167,7 +215,7 @@ def random_dag(
             if not chosen:
                 preds.append((rng.choice(earlier),))
             elif len(chosen) > max_indegree:
-                preds.append(tuple(sorted(rng.sample(chosen, max_indegree))))
+                preds.append(_sorted_sample(getrandbits, chosen, max_indegree))
             else:
                 preds.append(tuple(chosen))
         first += size
@@ -289,13 +337,13 @@ class RandomSubstitution:
         draw = rng.random
         prob = self.prob
         out = None
-        for i in range(len(packet)):
+        for i, s in enumerate(packet):
             if draw() < prob:
                 if out is None:
                     out = list(packet)
                 # uniform over the q - 2 nonzero symbols other than s
                 x = rng.randrange(1, q - 1)
-                out[i] = x + (x >= packet[i])
+                out[i] = x + (x >= s)
         return packet if out is None else tuple(out)
 
 
@@ -568,18 +616,14 @@ def run_experiment(
     check_adversary(adversary, topology.layer_sizes, symbol_map.q)
     stats = ExperimentStats()
     has_distance = len(code) > 1
+    topo, shape = topology, None
+    if isinstance(topology, TopologySpec):
+        shape = (topology.layers, topology.width, topology.max_indegree, topology.edge_density)
+        topo_seed = topology.seed
     for t in range(trials):
         trial_rng = random.Random(f"experiment:{seed}:{t}")
-        if isinstance(topology, TopologySpec):
-            topo = random_dag(
-                layers=topology.layers,
-                width=topology.width,
-                max_indegree=topology.max_indegree,
-                edge_density=topology.edge_density,
-                seed=trial_rng.randrange(2 ** 32) ^ topology.seed,
-            )
-        else:
-            topo = topology
+        if shape is not None:
+            topo = random_dag(*shape, seed=trial_rng.randrange(2 ** 32) ^ topo_seed)
         message = trial_rng.randrange(len(code))
         result = run_trial(topo, code, symbol_map, adversary, message, trial_seed=t ^ seed)
         stats.trials += 1

@@ -338,3 +338,24 @@ def random_substitution_oracle(prob, packet, q, rng):
             s = x + (x >= s)
         out.append(s)
     return tuple(out)
+
+
+def random_dag_oracle(layers, width, max_indegree, edge_density=0.5, seed=0):
+    """``saf.random_dag`` with its in-degree repair drawn by ``random.Random.sample``;
+    returns the predecessor tuples."""
+    rng = random.Random(seed)
+    layer_sizes = (1, *([width] * (layers - 2)), 1)
+    preds = [()]
+    first = 1
+    for size in layer_sizes[1:]:
+        earlier = range(first)
+        for _ in range(size):
+            chosen = [u for u in earlier if rng.random() < edge_density]
+            if not chosen:
+                preds.append((rng.choice(earlier),))
+            elif len(chosen) > max_indegree:
+                preds.append(tuple(sorted(rng.sample(chosen, max_indegree))))
+            else:
+                preds.append(tuple(chosen))
+        first += size
+    return tuple(preds)

@@ -230,6 +230,24 @@ def test_irreducible_matches_factor_enumeration_upto_degree_8():
                     assert is_irreducible(c * f) == (not has_factor), f"{c * f!r}"
 
 
+def test_irreducible_on_both_sides_of_the_root_scan():
+    # a polynomial of degree 2 or 3 is reducible exactly when it has a root;
+    # the root scan runs for p <= 32 * degree, so over F_67 degree 2 goes
+    # straight to the Ben-Or powers and degree 3 is scanned first
+    rng = random.Random("root-scan")
+    for p in (67, 101):
+        field = PrimeField(p)
+        for degree in (2, 3):
+            for _ in range(60):
+                lower = [rng.randrange(p) for _ in range(degree)]
+                if rng.random() < 0.5:
+                    lower[0] = 0  # a root at 0
+                f = Polynomial(field, (*lower, 1))
+                has_root = any(sum(c * x ** i for i, c in enumerate(f.coeffs)) % p == 0
+                               for x in range(p))
+                assert is_irreducible(f) == (not has_root), f"{f!r}"
+
+
 def test_hex_worked_value(f2):
     f = Polynomial(f2, [1 if i in (0, 3, 5, 8, 9, 11, 13) else 0 for i in range(14)])
     assert f.to_hex() == "2B29"

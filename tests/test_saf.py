@@ -24,7 +24,7 @@ from cwlattice.saf import (
     sink_recover,
     source_encode,
 )
-from helpers import random_substitution_oracle, reference_trial
+from helpers import random_dag_oracle, random_substitution_oracle, reference_trial
 
 DIRECT = NetworkTopology(layer_sizes=(1, 1), edges=((0, 1),), max_indegree=1)
 
@@ -118,6 +118,37 @@ def test_random_dag_matches_the_checking_constructor():
             assert all(checked.in_edges(v) == topo.in_edges(v) for v in range(topo.node_count))
             shapes += 1
     assert shapes >= 300
+
+
+def test_sorted_sample_consumes_the_words_of_random_sample():
+    # n <= 21 (m <= 5) or n <= 85 (6 <= m <= 10) takes the stdlib's pool
+    # branch, larger n its set branch; both are compared on the result and
+    # on the next draw of the stream
+    branches = set()
+    for n in range(71):
+        chosen = list(range(3, 3 + 2 * n, 2))
+        for m in range(min(n, 10) + 1):
+            branches.add(n <= (21 if m <= 5 else 85))
+            for seed in range(8):
+                ours, stdlib = random.Random(seed), random.Random(seed)
+                got = saf._sorted_sample(ours.getrandbits, chosen, m)
+                assert got == tuple(sorted(stdlib.sample(chosen, m))), (n, m, seed)
+                assert ours.random() == stdlib.random(), (n, m, seed)
+    assert branches == {True, False}
+
+
+def test_random_dag_matches_the_sample_oracle():
+    # widths up to 16 give up to 113 candidates, past both of the stdlib's
+    # set-size thresholds (21, and 85 for max_indegree 6..8)
+    rng = random.Random("sample-oracle")
+    for _ in range(2000):
+        shape = (rng.randrange(2, 10), rng.randrange(1, 17), rng.randrange(1, 9),
+                 rng.choice((0.0, 0.3, 0.5, 0.8, 1.0)))
+        seed = rng.randrange(2 ** 32)
+        assert random_dag(*shape, seed=seed).preds == random_dag_oracle(*shape, seed=seed), shape
+    for shape in ((9, 16, 6, 1.0), (9, 16, 8, 0.9), (4, 10, 3, 1.0)):
+        for seed in range(20):
+            assert random_dag(*shape, seed=seed).preds == random_dag_oracle(*shape, seed=seed)
 
 
 def test_symbol_map_defaults():
@@ -405,6 +436,29 @@ def test_seeded_experiment_results_are_pinned(code744, pool744, adversary, count
     stats = run_experiment(
         code744, pool744, SymbolMap.default(7), TopologySpec(6, 4, 3, 0.5, seed=3),
         adversary, trials=500, seed=7,
+    )
+    assert tuple(stats.counts.get(o, 0) for o in Outcome) == counts
+    assert sum(r.errors_at_sink for r in stats.results) == t_sum
+    assert sum(r.erasures_at_sink for r in stats.results) == e_sum
+    assert stats.guarantee_violations == 0
+
+
+@pytest.mark.parametrize(
+    "adversary, counts, t_sum, e_sum",
+    [
+        (EdgeErasure(0.3, seed=4), (377, 0, 0, 23), 0, 92),
+        (RandomSubstitution(0.05, seed=4), (341, 51, 8, 0), 59, 64),
+    ],
+    ids=["edge-erasure", "random-substitution"],
+)
+def test_seeded_results_are_pinned_on_the_erasure_benchmark_shape(
+    code744, pool744, adversary, counts, t_sum, e_sum
+):
+    # 8 layers of width 6 give up to 37 candidate predecessors, so the
+    # in-degree repair takes both of random.sample's branches
+    stats = run_experiment(
+        code744, pool744, SymbolMap.default(7), TopologySpec(8, 6, 3, 0.5, seed=2),
+        adversary, trials=400, seed=9,
     )
     assert tuple(stats.counts.get(o, 0) for o in Outcome) == counts
     assert sum(r.errors_at_sink for r in stats.results) == t_sum
