@@ -21,6 +21,9 @@ adds (p - c)*b*X^shift instead of subtracting c*b*X^shift: slots only
 grow, so no borrow ever crosses a slot boundary.  ``_mod_slots`` reduces
 every slot of a packed value mod p at once, by one multiplication with
 a fixed-point inverse of p, in slots wide enough that it is exact.
+Slots of 8, 16, 32 or 64 bits are machine words: ``_unpack`` reads all
+of them with one little-endian ``struct.unpack`` of the value's bytes
+instead of one shift per slot.
 
 Binary polynomials additionally support a compact hexadecimal codec:
 the coefficients are read highest degree first as a binary string,
@@ -34,15 +37,23 @@ irreducible iff gcd(X^(p^i) - X mod f, f) = 1 for 1 <= i <= n/2, with
 X^(p^i) by square and multiply mod f.  The residues are multiplied
 together mod f and one gcd of the product with f decides, since an
 irreducible factor of f divides the product exactly when it divides
-one of the factors.  It costs time polynomial in n and log p.  Over
-fields with p <= 32n a scan for roots runs first: a root of f of degree
-n >= 2 is a linear factor, so most reducible inputs stop there.
+one of the factors.  It costs time polynomial in n and log p.  Every
+residue stays packed, in the slots of ``_mod_slots``: one multiply and
+one long division by f give a product mod f, one ``_mod_slots`` reduces
+all its slots, and X^(p^i) - X is one add of (p - 1)X and one more
+``_mod_slots``.  Only the final Euclid runs on Polynomial.  Over fields
+with p <= 32n a scan for roots runs first: a root of f of degree n >= 2
+is a linear factor, so most reducible inputs stop there.  When the scan
+finds none, f of degree 2 or 3 is irreducible, as any factorization of
+it has a linear factor, and the factor for i = 1 is left out, since
+gcd(X^p - X, f) = 1 says exactly that f has no root in GF(p).
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import struct
 from typing import Iterable, Iterator, Sequence
 
 
@@ -122,10 +133,24 @@ def _pack(coeffs: Sequence[int], w: int) -> int:
     return value
 
 
+# struct codes of the unsigned machine words, by width in bits
+_WORD_CODES = {8: "B", 16: "H", 32: "I", 64: "Q"}
+
+
 def _unpack(value: int, slots: int, w: int) -> list[int]:
-    """The lowest ``slots`` slots of a packed value, unreduced."""
-    mask = (1 << w) - 1
-    return [value >> i * w & mask for i in range(slots)]
+    """The lowest ``slots`` slots of a packed value, unreduced.
+
+    Word-wide slots are read in one ``struct.unpack`` of the value's
+    little-endian bytes; "<" fixes the byte order on every host.
+    """
+    code = _WORD_CODES.get(w)
+    if code is None or slots <= 0:
+        mask = (1 << w) - 1
+        return [value >> i * w & mask for i in range(slots)]
+    size = slots * w >> 3
+    if value.bit_length() > size << 3:
+        value &= (1 << (size << 3)) - 1
+    return list(struct.unpack(f"<{slots}{code}", value.to_bytes(size, "little")))
 
 
 @functools.lru_cache(maxsize=64)
@@ -332,7 +357,8 @@ def is_irreducible(f: Polynomial) -> bool:
     if f.degree < 1:
         raise ValueError("irreducibility is undefined for constant polynomials")
     p, n = f.field.p, f.degree
-    if 2 <= n and p <= 32 * n:
+    scanned = 2 <= n and p <= 32 * n
+    if scanned:
         # a root x gives the factor X - x.  The scan costs p Horner runs of
         # n + 1 steps, under half the time of the powers below while p <= 32n
         high_first = f.coeffs[::-1]
@@ -342,32 +368,40 @@ def is_irreducible(f: Polynomial) -> bool:
                 value = value * x + c
             if not value % p:
                 return False
+        if n <= 3:
+            return True
     # a product of two residues mod f puts at most n products of two
-    # residues in a slot, and dividing it by f (n + 1 slots) adds n + 1
+    # residues in a slot, and dividing it by f (n + 1 slots) adds n + 1;
+    # _mod_slots reads slots of 2w + bitlen(p) bits holding that sum
     w = _slot_width(p, 2 * n + 1)
-    packed_f, inv = _pack(f.coeffs, w), pow(f.coeffs[-1], -1, p)
+    width = 2 * w + p.bit_length()
+    packed_f, inv = _pack(f.coeffs, width), pow(f.coeffs[-1], -1, p)
 
     def mulmod(a: int, b: int) -> int:
-        rem = _divmod_packed(a * b, 2 * n - 2, packed_f, n + 1, inv, p, w)[1]
-        return _pack(_reduced(_unpack(rem, n, w), p), w)
+        rem = _divmod_packed(a * b, 2 * n - 2, packed_f, n + 1, inv, p, width)[1]
+        return _mod_slots(rem, n, w, p)
 
-    power = 1 << w  # X, then X^(p^i) mod f
+    power = 1 << width  # X, then X^(p^i) mod f
     product = 1  # the product of X^(p^i) - X mod f so far
-    for _ in range(n // 2):
+    # (p - 1)X: adding it subtracts X with every slot kept nonnegative
+    minus_x = p - 1 << width
+    for i in range(1, n // 2 + 1):
         # raise to the p-th power by square and multiply
         base = power
         for bit in bin(p)[3:]:
             power = mulmod(power, power)
             if bit == "1":
                 power = mulmod(power, base)
-        # n >= 2 here, so slot 1 holds the coefficient of X
-        factor = _unpack(power, n, w)
-        factor[1] = (factor[1] - 1) % p
-        product = mulmod(product, _pack(factor, w))
+        # after a root scan that found none, gcd(X^p - X, f) = 1: the
+        # factor for i = 1 would add nothing
+        if i > 1 or not scanned:
+            factor = _mod_slots(power + minus_x, n, w, p)
+            # 1 times the factor is the factor: skip that multiply
+            product = mulmod(product, factor) if product != 1 else factor
     # an irreducible factor of f divides the product exactly when it
     # divides one of its factors, so one gcd with f decides: Euclid,
     # stopping at a constant remainder
-    g, r = f, Polynomial(f.field, _unpack(product, n, w))
+    g, r = f, Polynomial(f.field, _unpack(product, n, width))
     while r.degree > 0:
         g, r = r, g % r
     return bool(r)

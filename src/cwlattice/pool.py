@@ -9,7 +9,9 @@ distinct.
 
 Two backends are provided.  PolynomialPool holds monic irreducible
 polynomials over one prime field and composes by multiplying the
-generators in one product of packed ints.  It decomposes in one
+generators in one product of packed ints, in slots rounded up to 8,
+16, 32 or 64 bits where the product's coefficient bound allows, so
+that one ``struct.unpack`` reads them all.  It decomposes in one
 residue pass: row j, cached, packs X^j mod every constituent side by
 side, so the sum of the element's coefficients times the rows packs
 its remainder mod every constituent, and a constituent divides the
@@ -25,6 +27,7 @@ from typing import Iterable, Sequence
 
 from cwlattice.code import validated_indices
 from cwlattice.gf import (
+    _WORD_CODES,
     Polynomial,
     PrimeField,
     _mod_slots,
@@ -53,20 +56,28 @@ class PolynomialPool:
         if not constituents:
             raise ValueError("pool needs at least one constituent")
         field = constituents[0].field
-        for f in constituents:
+        seen: dict[Polynomial, int] = {}
+        for i, f in enumerate(constituents):
             if f.field != field:
-                raise ValueError("all constituents must share one field")
+                raise ValueError(f"constituents[{i}]: all constituents must share one field, "
+                                 f"GF({f.field.p}) is not GF({field.p})")
             if not f.is_monic:
-                raise ValueError(f"constituent {f!r} is not monic")
+                raise ValueError(f"constituents[{i}]: constituent {f!r} is not monic")
+            if f.degree < 1:
+                raise ValueError(f"constituents[{i}]: constituent {f!r} is constant, "
+                                 "not irreducible")
             if not is_irreducible(f):
-                raise ValueError(f"constituent {f!r} is reducible")
-        if len(set(constituents)) != len(constituents):
-            raise ValueError("constituents must be pairwise distinct")
+                raise ValueError(f"constituents[{i}]: constituent {f!r} is reducible")
+            first = seen.setdefault(f, i)
+            if first != i:
+                raise ValueError(f"constituents[{i}]: repeats constituents[{first}]; "
+                                 "constituents must be pairwise distinct")
         self.field = field
         self.constituents = constituents
         # slot width -> the constituents packed at that width
         self._packed: dict[int, tuple[int, ...]] = {}
         self._degrees = tuple(f.degree for f in constituents)
+        self._lengths = tuple(d + 1 for d in self._degrees)
         self._total = sum(self._degrees)
         # a residue-pass slot sums at most total + 1 products of two
         # residues; _mod_slots wants slots of w + s bits, s = w + bitlen(p)
@@ -101,10 +112,15 @@ class PolynomialPool:
         """Product of the selected generators, as one product of packed ints;
         the empty product is the unit, Polynomial.one."""
         indices = validated_indices(subset, self.n)
-        lengths = [len(self.constituents[i].coeffs) for i in indices]
+        lengths = [self._lengths[i] for i in indices]
         # every coefficient of the product is at most the product of the
-        # factors' coefficient sums, each at most len * (p - 1)
-        w = math.prod(length * (self.field.p - 1) for length in lengths).bit_length()
+        # factors' coefficient sums, each at most len * (p - 1); a slot
+        # rounded up to a machine word is read in one struct.unpack
+        w = (math.prod(lengths) * (self.field.p - 1) ** len(lengths)).bit_length()
+        for word in _WORD_CODES:
+            if word >= w:
+                w = word
+                break
         packed = self._packed_at(w)
         value = 1
         for i in indices:

@@ -10,6 +10,7 @@ import networkx as nx
 from cwlattice import saf
 from cwlattice.cliques import CompatibilityGraph
 from cwlattice.code import ConstantWeightCode, DecodeResult, decode
+from cwlattice.gf import Polynomial
 from cwlattice.lattice import FiniteLattice
 from cwlattice.pool import NotDecomposableError, NotSquarefreeError
 
@@ -172,6 +173,29 @@ def decompose_oracle(pool, element) -> tuple[int, ...]:
                 raise NotSquarefreeError(f"constituent #{i} divides the element more than once")
         raise NotDecomposableError(f"factor {remaining!r} is not a pool constituent")
     return tuple(found)
+
+
+def ben_or_oracle(f: Polynomial) -> bool:
+    """Ben-Or's test on Polynomial * and % alone: f of degree n >= 1 is
+    irreducible iff gcd(X^(p^i) - X, f) = 1 for every i <= n/2, each
+    power by square and multiply and each gcd by Euclid."""
+    field, n = f.field, f.degree
+    x = Polynomial(field, (0, 1))
+    power = x
+    for _ in range(n // 2):
+        result, base, e = Polynomial.one(field), power, field.p
+        while e:
+            if e & 1:
+                result = result * base % f
+            base = base * base % f
+            e >>= 1
+        power = result
+        g, r = f, (power - x) % f
+        while r:
+            g, r = r, g % r
+        if g.degree > 0:
+            return False
+    return True
 
 
 def random_multiplication_rows(lat: FiniteLattice, rng: random.Random) -> list[list[str]]:

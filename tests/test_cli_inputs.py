@@ -76,6 +76,10 @@ def load(kind: str, text: str, directory):
          "constituents[1]: coefficient -1 is not in 0..2"),
         ("pool", {"backend": "poly", "p": 2, "constituents": ["3", "xy"]},
          "constituents[1]: invalid hex string 'xy'"),
+        ("pool", {"backend": "poly", "p": 2, "constituents": ["3", "1"]},
+         "constituents[1]: constituent Poly(1 over GF(2)) is constant"),
+        ("pool", {"backend": "poly", "p": 2, "constituents": ["7", "3", "7"]},
+         "constituents[2]: repeats constituents[0]"),
         ("code", {"n": 7, "codewords": [[0, "1"]]}, "'codewords'"),
         ("code", {"n": 7, "codewords": [[0, 1, 2, 3]], "extra": 1}, "unknown field 'extra'"),
         ("code", {"n": 7, "k": 5, "codewords": [[0, 1, 2, 3], [0, 1, 4, 5]]}, "claims k=5"),
@@ -103,7 +107,8 @@ def load(kind: str, text: str, directory):
     ],
     ids=[
         "pool-empty", "pool-constituent-item", "pool-field-of-other-backend",
-        "pool-coefficient-range", "pool-constituent-hex",
+        "pool-coefficient-range", "pool-constituent-hex", "pool-constant-constituent",
+        "pool-duplicate-constituent",
         "code-codeword-item", "code-unknown-key", "code-wrong-k", "code-no-codewords",
         "lattice-cover-unknown", "lattice-cover-field", "lattice-mult-unknown",
         "lattice-mult-field", "lattice-mult-size",

@@ -14,6 +14,7 @@ from cwlattice.gf import (
     monic_polynomials,
     next_prime,
 )
+from helpers import ben_or_oracle
 
 
 def P(field, *coeffs):
@@ -196,6 +197,45 @@ def test_mod_slots_matches_slotwise_remainder(p):
         packed = _pack(slots, width)
         want = [c % p for c in _unpack(packed, len(slots), width)]
         assert _unpack(_mod_slots(packed, len(slots), w, p), len(slots), width) == want
+
+
+def test_unpack_word_path_matches_shift_loop():
+    # slots of 8, 16, 32 and 64 bits are read by struct.unpack, every other
+    # width by shifts; both must give the lowest slots of any value, also
+    # one with bits above them, and nothing for a count of zero or below
+    rng = random.Random("words")
+    for w in range(1, 71):
+        mask = (1 << w) - 1
+        for slots in range(-2, 41):
+            coeffs = [rng.randrange(1 << w) for _ in range(max(slots, 0))]
+            packed = _pack(coeffs, w)
+            above = packed | rng.randrange(1, 1 << w) << max(slots, 0) * w
+            for value in (packed, above):
+                want = [value >> i * w & mask for i in range(slots)]
+                assert _unpack(value, slots, w) == want, (w, slots)
+            assert _unpack(packed, slots, w) == coeffs
+
+
+@pytest.mark.parametrize("p", [131, 257])
+def test_irreducible_matches_plain_ben_or_without_root_scan(p):
+    # p > 32 * degree, so no root scan runs and every input goes through
+    # the packed Ben-Or powers; half the inputs are products of two random
+    # monics, reducible by construction
+    field = PrimeField(p)
+    rng = random.Random(p)
+
+    def monic(degree):
+        return Polynomial(field, [rng.randrange(p) for _ in range(degree)] + [1])
+
+    for degree in (2, 3, 4):
+        for trial in range(40):
+            if trial % 2:
+                low = rng.randrange(1, degree)
+                f = monic(low) * monic(degree - low)
+                assert not is_irreducible(f), f"{f!r}"
+            else:
+                f = monic(degree)
+            assert is_irreducible(f) == ben_or_oracle(f), f"{f!r}"
 
 
 def test_irreducible_known_cases(f2):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -238,6 +239,32 @@ def test_roundtrip_exhaustive(n):
             assert element.degree == expected_degree
     # injectivity: distinct subsets gave distinct elements
     assert len(seen) == 2 ** n - 1
+
+
+def test_compose_matches_polynomial_products_at_every_slot_width():
+    # compose rounds its slot width up to 8, 16, 32 or 64 bits and reads
+    # those with struct.unpack; wider products keep the shift loop.  The
+    # linear pool over F_257 alone spans every word size and goes past 64
+    # bits from eight constituents on
+    f3, f257 = PrimeField(3), PrimeField(257)
+    pools = [
+        PolynomialPool(binary_irreducibles(10)),
+        PolynomialPool(drawn_irreducibles(f3, (1, 2, 3), 6, random.Random(3))),
+        PolynomialPool([Polynomial(f257, (c, 1)) for c in range(1, 11)]),
+    ]
+    widths = set()
+    for pool in pools:
+        one, p = Polynomial.one(pool.field), pool.field.p
+        for size in range(pool.n + 1):
+            for subset in itertools.combinations(range(pool.n), size):
+                lengths = [pool.constituents[i].degree + 1 for i in subset]
+                bits = (math.prod(lengths) * (p - 1) ** size).bit_length()
+                widths.add(next((word for word in (8, 16, 32, 64) if bits <= word), "wider"))
+                want = one
+                for i in subset:
+                    want = want * pool.constituents[i]
+                assert pool.compose(subset) == want, (pool, subset)
+    assert widths == {8, 16, 32, 64, "wider"}
 
 
 def test_roundtrip_subset_backend_exhaustive():
