@@ -6,8 +6,9 @@ distance is >= d, so cliques are exactly the (n, k, d) constant weight
 codes.  In "exact" mode adjacency requires distance exactly d, the
 generalized Johnson graph J(n, k, d/2).
 
-The build is bit-sliced, on the intersection-count kernel that the
-code module's decoder and minimum distance share
+Adjacency rows are computed when they are first read and cached on
+the graph, bit-sliced, on the intersection-count kernel that the code
+module's decoder and minimum distance share
 (code._intersection_planes).  For each ground element i one membership
 bitset holds the vertices that contain i.  Adding the k membership
 bitsets of a vertex A with a ripple-carry bitwise counter gives
@@ -51,6 +52,12 @@ a maximum clique of size at least 2 through vertex 0 is mapped onto
 one through vertex 0 and the lowest vertex u_O of some orbit, so
 max_clique branches on one u_O per orbit after its greedy seed.
 
+Both searches therefore branch only inside N(0) & N(u_O), and they read
+only the rows of vertex 0 and of N(0): a greedy seed that meets the
+upper bound reads only its own rows, and the other V - 1 - |N(0)| rows
+are never computed.  Filling the rows of N(0) obeys the search's
+deadline, checked once per block of ROW_BLOCK rows.
+
 Everything is deterministic for a fixed vertex order.
 """
 
@@ -66,6 +73,8 @@ from cwlattice.code import ConstantWeightCode, _intersection_planes, _members
 MAX_GROUND_SET = 24
 MAX_VERTICES = 20000
 DEFAULT_COUNT_CAP = 10 ** 6
+# rows filled between two reads of a search's deadline
+ROW_BLOCK = 256
 
 
 class _Stop(Exception):
@@ -74,12 +83,12 @@ class _Stop(Exception):
 
 @dataclass(frozen=True)
 class CompatibilityGraph:
-    """The graph of the parameters (n, k, d, exact), built bit-sliced on construction.
+    """The graph of the parameters (n, k, d, exact); its rows are computed on first read.
 
-    ``vertices`` and ``adjacency`` are derived, not arguments, so every
-    graph has S_n acting on it as the counting code assumes.  The build
-    takes about half a second at ``MAX_VERTICES``, so it has no deadline
-    of its own.
+    ``vertices`` and the rows are derived, not arguments, so every graph
+    has S_n acting on it as the counting code assumes.  ``row(v)``
+    computes and caches one row; ``adjacency`` is the tuple of every
+    row, filling the missing ones.
     """
 
     n: int
@@ -87,10 +96,11 @@ class CompatibilityGraph:
     d: int
     exact: bool = False
     vertices: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    adjacency: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _membership: list[int] = field(init=False, repr=False, compare=False)
+    _rows: list[int | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n, k, d, exact = self.n, self.k, self.d, self.exact
+        n, k, d = self.n, self.k, self.d
         if not 1 <= k <= n <= MAX_GROUND_SET:
             raise ValueError(f"need 1 <= k <= n <= {MAX_GROUND_SET}, got k={k}, n={n}")
         if d % 2 or d < 2:
@@ -100,43 +110,54 @@ class CompatibilityGraph:
         if size > MAX_VERTICES:
             raise ValueError(f"graph would have {size} vertices, over the limit {MAX_VERTICES}")
         vertices = tuple(itertools.combinations(range(n), k))
-        # symmetric distance of equal-size sets: 2 * (k - |intersection|)
-        target = k - d // 2
-        adjacency = [0] * size
-        if target >= 0:
-            members = _members(vertices, n)
-            width = k.bit_length()
-            for a, subset in enumerate(vertices):
-                # planes[j] holds bit j of |subset & vertex b| at bit b
-                planes = _intersection_planes(members, subset, width)
-                # compare with target from the top bit: equal so far, and already below
-                equal, below = (1 << size) - 1, 0
-                for j in reversed(range(width)):
-                    if target >> j & 1:
-                        below |= equal & ~planes[j]
-                        equal &= planes[j]
-                    else:
-                        equal &= ~planes[j]
-                # a's own count is k > target, so no row holds its own bit
-                adjacency[a] = equal if exact else equal | below
         object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "adjacency", tuple(adjacency))
+        object.__setattr__(self, "_membership", _members(vertices, n))
+        object.__setattr__(self, "_rows", [None] * size)
+
+    @property
+    def adjacency(self) -> tuple[int, ...]:
+        """Every row of the graph, computing the ones not read yet."""
+        return tuple(map(self.row, range(len(self.vertices))))
+
+    def row(self, v: int) -> int:
+        """The adjacency row of vertex v as a bitset, computed once and cached."""
+        row = self._rows[v]
+        if row is not None:
+            return row
+        k = self.k
+        # symmetric distance of equal-size sets: 2 * (k - |intersection|)
+        target = k - self.d // 2
+        row = 0
+        if target >= 0:
+            width = k.bit_length()
+            # planes[j] holds bit j of |vertex v & vertex b| at bit b
+            planes = _intersection_planes(self._membership, self.vertices[v], width)
+            # compare with target from the top bit: equal so far, and already below
+            equal, below = (1 << len(self.vertices)) - 1, 0
+            for j in reversed(range(width)):
+                if target >> j & 1:
+                    below |= equal & ~planes[j]
+                    equal &= planes[j]
+                else:
+                    equal &= ~planes[j]
+            # v's own count is k > target, so no row holds its own bit
+            row = equal if self.exact else equal | below
+        self._rows[v] = row
+        return row
 
     def __len__(self) -> int:
         return len(self.vertices)
 
     def degree(self, v: int) -> int:
-        return self.adjacency[v].bit_count()
+        return self.row(v).bit_count()
 
     def is_clique(self, verts) -> bool:
         verts = list(verts)
-        return all(
-            self.adjacency[u] >> v & 1 for u, v in itertools.combinations(verts, 2)
-        )
+        return all(self.row(u) >> v & 1 for u, v in itertools.combinations(verts, 2))
 
 
 def build_graph(n: int, k: int, d: int, exact: bool = False) -> CompatibilityGraph:
-    """The subset compatibility graph for the given parameters, built bit-sliced."""
+    """The subset compatibility graph for the given parameters; rows are computed on first read."""
     return CompatibilityGraph(n, k, d, exact)
 
 
@@ -176,7 +197,7 @@ def _greedy_clique(graph: CompatibilityGraph) -> list[int]:
     while cand:
         v = (cand & -cand).bit_length() - 1
         clique.append(v)
-        cand &= graph.adjacency[v]
+        cand &= graph.row(v)
     return clique
 
 
@@ -195,9 +216,28 @@ def _neighbour_orbits(graph: CompatibilityGraph) -> list[tuple[int, int]]:
     orbits = []
     for i in reversed(range(max(0, 2 * k - n), k)):
         u = graph.vertices.index(tuple(range(i)) + tuple(range(k, 2 * k - i)))
-        if graph.adjacency[0] >> u & 1:
+        if graph.row(0) >> u & 1:
             orbits.append((u, math.comb(k, i) * math.comb(n - k, k - i)))
     return orbits
+
+
+def _neighbourhood_rows(
+    graph: CompatibilityGraph, deadline: float | None
+) -> tuple[list[int], list[int]] | None:
+    """The rows of vertex 0 and of N(0), all a search reads, and 0 for every other vertex.
+
+    Also returns ``others[v] = ~(row | 1 << v)`` for the colouring, for
+    the same vertices.  Returns None when the deadline, read after each
+    block of ROW_BLOCK rows, has passed.
+    """
+    adjacency = [0] * len(graph)
+    others = [0] * len(graph)
+    for i, v in enumerate(itertools.chain((0,), _bits(graph.row(0))), 1):
+        row = adjacency[v] = graph.row(v)
+        others[v] = ~(row | 1 << v)
+        if i % ROW_BLOCK == 0 and deadline is not None and time.monotonic() >= deadline:
+            return None
+    return adjacency, others
 
 
 def _colour_classes(cands: int, others: list[int], kmin: int) -> tuple[list[int], list[int]]:
@@ -234,11 +274,12 @@ def max_clique(
     """Exact maximum clique size with one witness.
 
     ``upper_bound`` lets the search stop as soon as a clique meeting a
-    proven cap is found.  The timeout is checked at every search node,
-    since one node of a large graph costs milliseconds; on timeout the
-    best clique so far is returned flagged incomplete.
+    proven cap is found.  The timeout is checked once per block of rows
+    while the rows of N(0) are computed, and at every search node, since
+    one node of a large graph costs milliseconds; on timeout the best
+    clique so far (the greedy one, with no nodes, if the rows were not
+    all computed) is returned flagged incomplete.
     """
-    adjacency = graph.adjacency
     started = time.monotonic()
     deadline = started + timeout if timeout is not None else None
     best_verts = _greedy_clique(graph)
@@ -255,7 +296,10 @@ def max_clique(
 
     if upper_bound is not None and state["best"] >= upper_bound:
         return _result(True)
-    others = [~(row | 1 << v) for v, row in enumerate(adjacency)]
+    rows = _neighbourhood_rows(graph, deadline)
+    if rows is None:
+        return _result(False)
+    adjacency, others = rows
 
     def expand(chosen: list[int], cands: int) -> None:
         nonlocal best_verts
@@ -303,20 +347,25 @@ def count_maximum_cliques(
     its stabiliser, weighted by the orbit size, and scales the pair sum
     by V / (size * (size - 1)), which the symmetry makes exact (see the
     module docstring).  Stops early when the count exceeds ``cap`` or
-    the timeout, checked at every node, expires, flagging the result
+    the timeout, checked once per block of rows while the rows of N(0)
+    are computed and at every node, expires, flagging the result
     accordingly; the count of the partial pair sum is then a lower bound.
     """
     if size < 1:
         raise ValueError("clique size must be positive")
-    adjacency = graph.adjacency
-    V = len(adjacency)
+    V = len(graph)
     started = time.monotonic()
     if size == 1:
         return CountResult(
             count=V, capped=False, complete=True, elapsed=time.monotonic() - started, nodes=0
         )
     deadline = started + timeout if timeout is not None else None
-    others = [~(row | 1 << v) for v, row in enumerate(adjacency)]
+    rows = _neighbourhood_rows(graph, deadline)
+    if rows is None:
+        return CountResult(
+            count=0, capped=False, complete=False, elapsed=time.monotonic() - started, nodes=0
+        )
+    adjacency, others = rows
     state = {"pairs": 0, "calls": 0, "capped": False}
     # the count so far, pairs * V // scale, exceeds cap once pairs * V >= limit
     scale = size * (size - 1)

@@ -11,8 +11,8 @@ that contain i.  Adding the membership bitsets of the elements of A
 with a ripple-carry bitwise counter gives k.bit_length() bit planes,
 which hold |A ∩ S| for every set S; scanning the planes from the top
 bit down keeps the sets with the largest count.  The compatibility
-graph build (cliques.build_graph), the minimum distance and the
-decoder all use this one kernel, `_intersection_planes`.
+graph's rows (cliques.CompatibilityGraph.row), the minimum distance and
+the decoder all use this one kernel, `_intersection_planes`.
 
 Decoding is exhaustive minimum distance decoding; ties are surfaced as
 an ambiguous result rather than broken silently, since a tie is a

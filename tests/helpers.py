@@ -18,8 +18,7 @@ from cwlattice.pool import NotDecomposableError, NotSquarefreeError
 def to_networkx(graph: CompatibilityGraph) -> nx.Graph:
     G = nx.Graph()
     G.add_nodes_from(range(len(graph)))
-    for v in range(len(graph)):
-        mask = graph.adjacency[v]
+    for v, mask in enumerate(graph.adjacency):
         while mask:
             low = mask & -mask
             u = low.bit_length() - 1

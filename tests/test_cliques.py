@@ -5,7 +5,9 @@ from math import comb
 
 import pytest
 
+from cwlattice.bounds import search_upper_bound
 from cwlattice.cliques import (
+    ROW_BLOCK,
     CompatibilityGraph,
     build_graph,
     count_maximum_cliques,
@@ -28,7 +30,11 @@ def test_build_matches_pair_oracle():
                 for exact in (False, True):
                     g = build_graph(n, k, d, exact=exact)
                     assert g.vertices == tuple(itertools.combinations(range(n), k))
-                    assert g.adjacency == adjacency_oracle(n, k, d, exact), (n, k, d, exact)
+                    oracle = adjacency_oracle(n, k, d, exact)
+                    # rows read one at a time, last first, then all at once from the cache
+                    rows = [g.row(v) for v in reversed(range(len(g)))]
+                    assert rows[::-1] == list(oracle), (n, k, d, exact)
+                    assert g.adjacency == oracle, (n, k, d, exact)
                     if d > 2 * k:
                         assert not any(g.adjacency)
 
@@ -155,9 +161,9 @@ def test_count_rejects_a_graph_without_the_symmetry():
         adjacency = list(g.adjacency)
         adjacency[a] ^= 1 << b
         adjacency[b] ^= 1 << a
-        # no public path builds such a graph, so overwrite the frozen rows
+        # no public path builds such a graph, so overwrite the cached rows the count reads
         broken = build_graph(4, 2, 2)
-        object.__setattr__(broken, "adjacency", tuple(adjacency))
+        broken._rows[:] = adjacency
         with pytest.raises(ValueError, match=message):
             count_maximum_cliques(broken, size)
 
@@ -165,11 +171,17 @@ def test_count_rejects_a_graph_without_the_symmetry():
 def test_graph_rows_come_only_from_its_parameters():
     g = build_graph(4, 2, 2)
     assert g == CompatibilityGraph(4, 2, 2) and g.exact is False
-    for rows in ({"adjacency": g.adjacency}, {"vertices": g.vertices}):
+    for rows in ({"adjacency": g.adjacency}, {"vertices": g.vertices}, {"_rows": list(g.adjacency)}):
         with pytest.raises(TypeError):
             CompatibilityGraph(4, 2, 2, **rows)
+    # adjacency is a property, not a field: replace passes it to the constructor
+    with pytest.raises(TypeError, match="adjacency"):
+        dataclasses.replace(g, adjacency=g.adjacency)
+    for rows in ({"vertices": g.vertices}, {"_rows": list(g.adjacency)}):
         with pytest.raises(ValueError, match="init=False"):
             dataclasses.replace(g, **rows)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.adjacency = adjacency_oracle(4, 2, 4, False)
     # a replaced parameter rebuilds the rows: at d = 4 only disjoint pairs are adjacent
     far = dataclasses.replace(g, d=4)
     assert far == build_graph(4, 2, 4)
@@ -336,3 +348,43 @@ def test_counts_and_clique_number_match_the_oracle(n, k, d, exact):
             assert result.count == expected, size
     searched = max_clique(g)
     assert searched.complete and searched.size == size
+
+
+def _computed_rows(g: CompatibilityGraph) -> set[int]:
+    """The vertices whose rows the graph has cached so far."""
+    return {v for v, row in enumerate(g._rows) if row is not None}
+
+
+@pytest.mark.parametrize("n, k, d, exact", [(12, 5, 8, False), (10, 3, 4, True), (8, 3, 4, False)])
+def test_searches_compute_only_the_rows_of_vertex_0_and_its_neighbours(n, k, d, exact):
+    g = build_graph(n, k, d, exact=exact)
+    searched = max_clique(g)
+    assert searched.complete
+    neighbourhood = {0} | {v for v in range(len(g)) if g.row(0) >> v & 1}
+    computed = _computed_rows(g)
+    assert computed == neighbourhood
+    # the count reads the same rows, all cached by the search
+    assert count_maximum_cliques(g, searched.size).complete
+    assert _computed_rows(g) == computed
+    fresh = build_graph(n, k, d, exact=exact)
+    assert count_maximum_cliques(fresh, searched.size).complete
+    assert _computed_rows(fresh) == neighbourhood
+
+
+def test_a_greedy_seed_at_the_bound_computes_only_its_own_rows():
+    g = build_graph(15, 3, 4)
+    result = max_clique(g, upper_bound=search_upper_bound(15, 3, 4))
+    assert result.complete and result.size == 35 and result.nodes == 0
+    assert _computed_rows(g) == set(result.witnesses[0])
+
+
+def test_zero_timeout_stops_the_row_pass_after_one_block():
+    # the largest graph MAX_VERTICES accepts: 19448 vertices, 19377 of them in N(0)
+    g = build_graph(17, 7, 4)
+    searched = max_clique(g, timeout=0)
+    assert not searched.complete and searched.nodes == 0
+    assert len(extract_code(g, searched.witnesses[0])) == searched.size
+    assert len(_computed_rows(g)) <= searched.size + ROW_BLOCK
+    counted = count_maximum_cliques(build_graph(17, 7, 4), searched.size, timeout=0)
+    assert not counted.complete and not counted.capped
+    assert counted.count == 0 and counted.nodes == 0
