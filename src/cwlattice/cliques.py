@@ -55,7 +55,10 @@ max_clique branches on one u_O per orbit after its greedy seed.
 Both searches therefore branch only inside N(0) & N(u_O), and they read
 only the rows of vertex 0 and of N(0): a greedy seed that meets the
 upper bound reads only its own rows, and the other V - 1 - |N(0)| rows
-are never computed.  Filling the rows of N(0) obeys the search's
+are never computed.  The searches read the rows straight from the
+graph's cache, whose other entries stay None and are never read; their
+one list of their own is ``others``, the colouring's mask of each
+vertex of {0} and N(0).  Filling the rows of N(0) obeys the search's
 deadline, checked once per block of ROW_BLOCK rows.
 
 Everything is deterministic for a fixed vertex order.
@@ -68,7 +71,7 @@ import math
 import time
 from dataclasses import dataclass, field
 
-from cwlattice.code import ConstantWeightCode, _intersection_planes, _members
+from cwlattice.code import ConstantWeightCode, _bits, _intersection_planes, _members
 
 MAX_GROUND_SET = 24
 MAX_VERTICES = 20000
@@ -78,7 +81,10 @@ ROW_BLOCK = 256
 
 
 class _Stop(Exception):
-    pass
+    """Ends a search; ``complete`` when it met the upper bound, not the deadline or the cap."""
+
+    def __init__(self, complete: bool = False):
+        self.complete = complete
 
 
 @dataclass(frozen=True)
@@ -148,9 +154,6 @@ class CompatibilityGraph:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def degree(self, v: int) -> int:
-        return self.row(v).bit_count()
-
     def is_clique(self, verts) -> bool:
         verts = list(verts)
         return all(self.row(u) >> v & 1 for u, v in itertools.combinations(verts, 2))
@@ -177,13 +180,6 @@ class CountResult:
     complete: bool
     elapsed: float
     nodes: int
-
-
-def _bits(x: int):
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
 
 
 def _greedy_clique(graph: CompatibilityGraph) -> list[int]:
@@ -221,23 +217,19 @@ def _neighbour_orbits(graph: CompatibilityGraph) -> list[tuple[int, int]]:
     return orbits
 
 
-def _neighbourhood_rows(
-    graph: CompatibilityGraph, deadline: float | None
-) -> tuple[list[int], list[int]] | None:
-    """The rows of vertex 0 and of N(0), all a search reads, and 0 for every other vertex.
+def _neighbourhood_others(graph: CompatibilityGraph, deadline: float | None) -> list[int] | None:
+    """``others[v] = ~(row | 1 << v)`` for the colouring, for vertex 0 and N(0), and 0 elsewhere.
 
-    Also returns ``others[v] = ~(row | 1 << v)`` for the colouring, for
-    the same vertices.  Returns None when the deadline, read after each
+    Computes the rows of vertex 0 and of N(0), all a search reads, into
+    the graph's cache.  Returns None when the deadline, read after each
     block of ROW_BLOCK rows, has passed.
     """
-    adjacency = [0] * len(graph)
     others = [0] * len(graph)
     for i, v in enumerate(itertools.chain((0,), _bits(graph.row(0))), 1):
-        row = adjacency[v] = graph.row(v)
-        others[v] = ~(row | 1 << v)
+        others[v] = ~(graph.row(v) | 1 << v)
         if i % ROW_BLOCK == 0 and deadline is not None and time.monotonic() >= deadline:
             return None
-    return adjacency, others
+    return others
 
 
 def _colour_classes(cands: int, others: list[int], kmin: int) -> tuple[list[int], list[int]]:
@@ -283,56 +275,49 @@ def max_clique(
     started = time.monotonic()
     deadline = started + timeout if timeout is not None else None
     best_verts = _greedy_clique(graph)
-    state = {"best": len(best_verts), "calls": 0, "timed_out": False}
-
-    def _result(complete: bool) -> CliqueResult:
-        return CliqueResult(
-            size=state["best"],
-            witnesses=(tuple(best_verts),) if best_verts else (),
-            complete=complete,
-            elapsed=time.monotonic() - started,
-            nodes=state["calls"],
-        )
-
-    if upper_bound is not None and state["best"] >= upper_bound:
-        return _result(True)
-    rows = _neighbourhood_rows(graph, deadline)
-    if rows is None:
-        return _result(False)
-    adjacency, others = rows
+    best, nodes = len(best_verts), 0
+    rows = graph._rows
 
     def expand(chosen: list[int], cands: int) -> None:
-        nonlocal best_verts
-        state["calls"] += 1
+        nonlocal best, best_verts, nodes
+        nodes += 1
         if deadline is not None and time.monotonic() >= deadline:
-            state["timed_out"] = True
-            raise _Stop
+            raise _Stop(False)
         size = len(chosen)
         if not cands:
-            if size > state["best"]:
-                state["best"] = size
+            if size > best:
+                best = size
                 best_verts = sorted(chosen)
                 if upper_bound is not None and size >= upper_bound:
-                    raise _Stop
+                    raise _Stop(True)
             return
-        verts, colours = _colour_classes(cands, others, state["best"] - size + 1)
+        verts, colours = _colour_classes(cands, others, best - size + 1)
         for i in range(len(verts) - 1, -1, -1):
-            if size + colours[i] <= state["best"]:
+            if size + colours[i] <= best:
                 return
             v = verts[i]
             chosen.append(v)
-            expand(chosen, cands & adjacency[v])
+            expand(chosen, cands & rows[v])
             chosen.pop()
             cands ^= 1 << v
 
-    complete = True
-    try:
-        # some maximum clique of size >= 2 contains vertex 0 and one u_O
-        for u, _ in _neighbour_orbits(graph):
-            expand([0, u], adjacency[0] & adjacency[u])
-    except _Stop:
-        complete = not state["timed_out"]
-    return _result(complete)
+    # complete at once when the greedy clique meets the bound; not when the row pass times out
+    complete = upper_bound is not None and best >= upper_bound
+    if not complete and (others := _neighbourhood_others(graph, deadline)) is not None:
+        try:
+            # some maximum clique of size >= 2 contains vertex 0 and one u_O
+            for u, _ in _neighbour_orbits(graph):
+                expand([0, u], rows[0] & rows[u])
+            complete = True
+        except _Stop as stop:
+            complete = stop.complete
+    return CliqueResult(
+        size=best,
+        witnesses=(tuple(best_verts),) if best_verts else (),
+        complete=complete,
+        elapsed=time.monotonic() - started,
+        nodes=nodes,
+    )
 
 
 def count_maximum_cliques(
@@ -360,25 +345,23 @@ def count_maximum_cliques(
             count=V, capped=False, complete=True, elapsed=time.monotonic() - started, nodes=0
         )
     deadline = started + timeout if timeout is not None else None
-    rows = _neighbourhood_rows(graph, deadline)
-    if rows is None:
-        return CountResult(
-            count=0, capped=False, complete=False, elapsed=time.monotonic() - started, nodes=0
-        )
-    adjacency, others = rows
-    state = {"pairs": 0, "calls": 0, "capped": False}
+    rows = graph._rows
+    pairs = nodes = 0
+    capped = False
     # the count so far, pairs * V // scale, exceeds cap once pairs * V >= limit
     scale = size * (size - 1)
     limit = (cap + 1) * scale
 
-    def tally(pairs: int) -> None:
-        state["pairs"] += pairs
-        if state["pairs"] * V >= limit:
-            state["capped"] = True
+    def tally(found: int) -> None:
+        nonlocal pairs, capped
+        pairs += found
+        if pairs * V >= limit:
+            capped = True
             raise _Stop
 
     def rec(cands: int, need: int, weight: int) -> None:
-        state["calls"] += 1
+        nonlocal nodes
+        nodes += 1
         if deadline is not None and time.monotonic() >= deadline:
             raise _Stop
         if need == 1:
@@ -388,20 +371,22 @@ def count_maximum_cliques(
         verts, _ = _colour_classes(cands, others, need)
         for v in reversed(verts):
             cands ^= 1 << v
-            sub = cands & adjacency[v]
+            sub = cands & rows[v]
             if sub.bit_count() >= need - 1:
                 rec(sub, need - 1, weight)
 
-    complete = True
-    try:
-        for u, weight in _neighbour_orbits(graph):
-            if size == 2:
-                tally(weight)
-            else:
-                rec(adjacency[0] & adjacency[u], size - 2, weight)
-    except _Stop:
-        complete = False
-    pairs = state["pairs"]
+    # a timeout in the row pass leaves the count at 0 in 0 nodes, incomplete
+    others = _neighbourhood_others(graph, deadline)
+    complete = others is not None
+    if complete:
+        try:
+            for u, weight in _neighbour_orbits(graph):
+                if size == 2:
+                    tally(weight)
+                else:
+                    rec(rows[0] & rows[u], size - 2, weight)
+        except _Stop:
+            complete = False
     # checked with raise, not assert, so that python -O keeps them
     if complete and pairs % (size - 1):
         raise ValueError(
@@ -412,10 +397,10 @@ def count_maximum_cliques(
         raise ValueError("graph is not vertex-transitive")
     return CountResult(
         count=pairs * V // scale,
-        capped=state["capped"],
+        capped=capped,
         complete=complete,
         elapsed=time.monotonic() - started,
-        nodes=state["calls"],
+        nodes=nodes,
     )
 
 

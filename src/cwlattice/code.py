@@ -12,7 +12,8 @@ with a ripple-carry bitwise counter gives k.bit_length() bit planes,
 which hold |A ∩ S| for every set S; scanning the planes from the top
 bit down keeps the sets with the largest count.  The compatibility
 graph's rows (cliques.CompatibilityGraph.row), the minimum distance and
-the decoder all use this one kernel, `_intersection_planes`.
+the decoder all use this one kernel, `_intersection_planes`, and the
+graphs and lattices list a bitset's members with `_bits`.
 
 Decoding is exhaustive minimum distance decoding; ties are surfaced as
 an ambiguous result rather than broken silently, since a tie is a
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def symmetric_distance(a: Iterable[int], b: Iterable[int]) -> int:
@@ -41,6 +42,14 @@ def _members(sets: Sequence[Sequence[int]], n: int) -> list[int]:
         for i in subset:
             digits[i][size - 1 - s] = ord("1")
     return [int(row, 2) for row in digits]
+
+
+def _bits(x: int) -> Iterator[int]:
+    """The members of the bitset x, the indices of its set bits, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 def _intersection_planes(members: Sequence[int], subset: Iterable[int], width: int) -> list[int]:

@@ -36,7 +36,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from cwlattice.cliques import _bits
+from cwlattice.code import _bits
+
 
 class SizeLimitError(ValueError):
     """The lattice exceeds the configured scan bound."""

@@ -240,11 +240,9 @@ class SymbolMap:
             raise ValueError("need q > n to embed the pool in the nonzero symbols")
 
     @classmethod
-    def default(cls, n: int, q: int | None = None) -> "SymbolMap":
-        """The map over the smallest prime exceeding n by default."""
-        if q is None:
-            q = next_prime(n)
-        return cls(q=q, n=n)
+    def default(cls, n: int) -> "SymbolMap":
+        """The map over the smallest prime exceeding n."""
+        return cls(q=next_prime(n), n=n)
 
     def encode(self, index: int) -> int:
         if not 0 <= index < self.n:

@@ -42,12 +42,12 @@ def test_build_matches_pair_oracle():
 def test_build_octahedron():
     g = build_graph(4, 2, 2, exact=True)  # J(4,2,1)
     assert len(g) == 6
-    assert all(g.degree(v) == 4 for v in range(6))
+    assert all(g.row(v).bit_count() == 4 for v in range(6))
 
 
 def test_build_at_least_distance_two_is_complete():
     g = build_graph(5, 2, 2)
-    assert all(g.degree(v) == len(g) - 1 for v in range(len(g)))
+    assert all(g.row(v).bit_count() == len(g) - 1 for v in range(len(g)))
     assert max_clique(g).size == len(g)
 
 
@@ -388,3 +388,35 @@ def test_zero_timeout_stops_the_row_pass_after_one_block():
     counted = count_maximum_cliques(build_graph(17, 7, 4), searched.size, timeout=0)
     assert not counted.complete and not counted.capped
     assert counted.count == 0 and counted.nodes == 0
+
+
+# pinned outputs of the searches: size, node count and first witness of
+# the unbounded max_clique, and count with node count of count_maximum_cliques
+PINNED_SEARCHES = [
+    ((8, 3, 4, False), (8, 66, (0, 11, 18, 27, 35, 39, 41, 53)), (840, 259)),
+    ((9, 4, 6, False), (3, 2, (0, 46, 86)), None),
+    ((8, 4, 4, True), (7, 1, (0, 9, 14, 20, 23, 27, 28)), (3840, 61)),
+    ((9, 3, 4, True), (7, 8, (0, 13, 22, 35, 40, 51, 54)), (1080, 43)),
+    ((10, 3, 4, True), (7, 12, (0, 15, 27, 44, 51, 67, 70)), (3600, 71)),
+]
+
+
+@pytest.mark.parametrize("params, searched, counted", PINNED_SEARCHES)
+def test_search_outputs_are_pinned(params, searched, counted):
+    n, k, d, exact = params
+    result = max_clique(build_graph(n, k, d, exact=exact))
+    assert result.complete
+    assert (result.size, result.nodes, result.witnesses[0]) == searched
+    if counted is not None:
+        count = count_maximum_cliques(build_graph(n, k, d, exact=exact), result.size)
+        assert count.complete and not count.capped
+        assert (count.count, count.nodes) == counted
+
+
+def test_search_at_the_proven_bound_is_pinned():
+    g = build_graph(11, 5, 6)
+    result = max_clique(g, upper_bound=search_upper_bound(11, 5, 6))
+    assert result.complete and (result.size, result.nodes) == (11, 10)
+    count = count_maximum_cliques(g, 11)
+    assert count.complete and not count.capped
+    assert (count.count, count.nodes) == (60480, 1954)

@@ -170,7 +170,7 @@ def test_symbol_map_validation():
 
 
 def test_source_encode():
-    smap = SymbolMap.default(7, q=11)
+    smap = SymbolMap(q=11, n=7)
     assert source_encode((0, 1, 2, 5), smap) == (1, 2, 3, 6)
     assert source_encode((3,), smap) == (4,)
     assert 0 not in source_encode((0, 1, 2, 5), smap)
@@ -199,7 +199,7 @@ def test_node_process_idempotent():
 
 
 def test_sink_recover_cases():
-    smap = SymbolMap.default(7, q=11)
+    smap = SymbolMap(q=11, n=7)
     # intact
     rec = sink_recover([(2, 4, 6, 7)], 4, smap)
     assert rec.indices == (1, 3, 5, 6)

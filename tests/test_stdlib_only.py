@@ -1,4 +1,9 @@
-"""The package imports nothing outside the Python standard library."""
+"""Package-wide rules, read off each module's syntax tree.
+
+The package imports nothing outside the Python standard library, and it
+holds no assert statement: its checks raise, so that python -O keeps
+them.
+"""
 
 import ast
 import pathlib
@@ -23,3 +28,10 @@ def imported_top_level_names(path: pathlib.Path) -> set[str]:
 def test_module_imports_only_stdlib(path):
     foreign = imported_top_level_names(path) - set(sys.stdlib_module_names) - {"cwlattice"}
     assert not foreign, f"{path.name} imports {sorted(foreign)}"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_has_no_assert_statement(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not lines, f"{path.name} asserts on lines {lines}"
