@@ -56,10 +56,12 @@ Both searches therefore branch only inside N(0) & N(u_O), and they read
 only the rows of vertex 0 and of N(0): a greedy seed that meets the
 upper bound reads only its own rows, and the other V - 1 - |N(0)| rows
 are never computed.  The searches read the rows straight from the
-graph's cache, whose other entries stay None and are never read; their
-one list of their own is ``others``, the colouring's mask of each
-vertex of {0} and N(0).  Filling the rows of N(0) obeys the search's
-deadline, checked once per block of ROW_BLOCK rows.
+graph's cache, whose other entries stay None and are never read.  The
+colouring's mask of each vertex of {0} and N(0), ``others``, is built
+by the first search that fills the rows of N(0) and kept on the graph,
+so a count after a search on the same graph reuses it.  Filling the
+rows of N(0) obeys the search's deadline, checked once per block of
+ROW_BLOCK rows; a pass cut short keeps no masks.
 
 Everything is deterministic for a fixed vertex order.
 """
@@ -104,6 +106,7 @@ class CompatibilityGraph:
     vertices: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _membership: list[int] = field(init=False, repr=False, compare=False)
     _rows: list[int | None] = field(init=False, repr=False, compare=False)
+    _others: list[int] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n, k, d = self.n, self.k, self.d
@@ -119,6 +122,7 @@ class CompatibilityGraph:
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "_membership", _members(vertices, n))
         object.__setattr__(self, "_rows", [None] * size)
+        object.__setattr__(self, "_others", None)
 
     @property
     def adjacency(self) -> tuple[int, ...]:
@@ -221,14 +225,18 @@ def _neighbourhood_others(graph: CompatibilityGraph, deadline: float | None) -> 
     """``others[v] = ~(row | 1 << v)`` for the colouring, for vertex 0 and N(0), and 0 elsewhere.
 
     Computes the rows of vertex 0 and of N(0), all a search reads, into
-    the graph's cache.  Returns None when the deadline, read after each
-    block of ROW_BLOCK rows, has passed.
+    the graph's cache, and keeps the finished list on the graph for the
+    next search.  Returns None, keeping nothing, when the deadline, read
+    after each block of ROW_BLOCK rows, has passed.
     """
+    if graph._others is not None:
+        return graph._others
     others = [0] * len(graph)
     for i, v in enumerate(itertools.chain((0,), _bits(graph.row(0))), 1):
         others[v] = ~(graph.row(v) | 1 << v)
         if i % ROW_BLOCK == 0 and deadline is not None and time.monotonic() >= deadline:
             return None
+    object.__setattr__(graph, "_others", others)
     return others
 
 

@@ -21,6 +21,14 @@ sublattices; together the latter two are equivalent to every element
 having a unique irredundant irreducible decomposition, which
 ``decomposition_theorem_report`` checks from both sides.
 
+A set S of the meet-irreducibles above x meets above x exactly when all
+of S lies above one upper cover y of x, so S meets in x exactly when it
+hits every N_y, the candidates not above y.  The irredundant
+decompositions are the minimal hitting sets of the N_y (Berge,
+Hypergraphs, 1989), grown one cover at a time: a set that misses N_y
+grows by each member of N_y, and a grown set is redundant exactly when
+it contains a set that hit N_y already.
+
 An optional commutative multiplication table compatible with the order
 (xy <= x meet y) supports the prime and primary element tests.  The
 sweep that validates the table also marks, as bitsets over the
@@ -32,7 +40,6 @@ any power of b is <= x refutes x as primary.  ``check_prime`` and
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -91,6 +98,7 @@ class FiniteLattice:
             for j in _bits(above):
                 if above & down[j] == 1 << j:
                     self._cover_up[i] |= 1 << j
+        self._irreducible = sum(1 << i for i, row in enumerate(self._cover_up) if row.bit_count() == 1)
 
         # with a top, all meets existing makes every join exist (the meet
         # of the common upper bounds), so only the meet table can fail and
@@ -166,32 +174,24 @@ class FiniteLattice:
 
         In a finite lattice these are exactly the elements with one upper cover.
         """
-        return [self.elements[c] for c, row in enumerate(self._cover_up) if row.bit_count() == 1]
+        return [self.elements[c] for c in _bits(self._irreducible)]
 
     def irreducible_decompositions(self, x: str) -> list[frozenset[str]]:
-        """All irredundant subsets of meet-irreducibles whose meet is x.
-
-        The empty subset stands for the empty meet, i.e. the top element.
+        """All irredundant subsets of meet-irreducibles whose meet is x (the
+        empty one for the top), fewest members first, then by ascending index.
         """
         xi = self._idx(x)
-        cands = [self._idx(q) for q in self.meet_irreducibles() if self._up[xi] >> self._idx(q) & 1]
-        if len(cands) > 20:
+        cands = self._irreducible & self._up[xi]
+        if cands.bit_count() > 20:
             raise SizeLimitError("too many meet-irreducibles for a subset scan")
-        hits: list[tuple[int, ...]] = []
-        for r in range(len(cands) + 1):
-            for combo in itertools.combinations(cands, r):
-                acc = self._top
-                for q in combo:
-                    acc = self._meet[acc][q]
-                if acc == xi:
-                    hits.append(combo)
-        irredundant = []
-        hit_set = {frozenset(h) for h in hits}
-        for h in hits:
-            s = frozenset(h)
-            if not any(other < s for other in hit_set):
-                irredundant.append(frozenset(self.elements[q] for q in s))
-        return irredundant
+        family = [0]
+        for y in _bits(self._cover_up[xi]):
+            missed = cands & ~self._up[y]
+            hit = [s for s in family if s & missed]
+            grown = {s | 1 << q for s in family if not s & missed for q in _bits(missed)}
+            family = hit + [s for s in grown if not any(h & ~s == 0 for h in hit)]
+        members = sorted((tuple(_bits(s)) for s in family), key=lambda t: (len(t), t))
+        return [frozenset(self.elements[q] for q in t) for t in members]
 
     def is_birkhoff(self) -> bool:
         """Upper semimodularity: if a covers a meet b, then a join b covers b."""

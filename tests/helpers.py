@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -117,6 +118,21 @@ def lub_oracle(lat: FiniteLattice, a: str, b: str) -> str:
     return least[0]
 
 
+def decompositions_oracle(lat: FiniteLattice, x: str) -> list[frozenset[str]]:
+    """``irreducible_decompositions`` as the exhaustive subset scan: the meet
+    of every subset of the meet-irreducibles above x, fewest members first
+    and then in ascending element order, keeping each subset that meets in x
+    and has no proper subset among those kept."""
+    cands = [q for q in lat.meet_irreducibles() if lat.leq(x, q)]
+    hits = [
+        frozenset(combo)
+        for r in range(len(cands) + 1)
+        for combo in itertools.combinations(cands, r)
+        if functools.reduce(lat.meet, combo, lat.top) == x
+    ]
+    return [h for h in hits if not any(other < h for other in hits)]
+
+
 def prime_oracle(lat: FiniteLattice, table, p: str) -> bool:
     """p >= ab implies p >= a or p >= b, for all a, b."""
     return all(
@@ -212,15 +228,16 @@ def all_lattices(m: int):
     """Every lattice on m labeled elements whose numeric order is a linear
     extension (so every lattice shape appears at least once).
 
-    Orders are enumerated as upper-triangular relation masks; element 0
-    must be the bottom and element m-1 the top.
+    Element 0 is the bottom and element m-1 the top, so orders are
+    enumerated as upper-triangular relation masks over the pairs of the
+    elements strictly between them.
     """
     if m == 1:
         yield FiniteLattice(["0"], [])
         return
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    pairs = [(i, j) for i in range(1, m - 1) for j in range(i + 1, m - 1)]
     for mask in range(1 << len(pairs)):
-        rows = [1 << i for i in range(m)]
+        rows = [(1 << m) - 1] + [1 << i | 1 << (m - 1) for i in range(1, m)]
         for bit, (i, j) in enumerate(pairs):
             if mask >> bit & 1:
                 rows[i] |= 1 << j
@@ -235,11 +252,6 @@ def all_lattices(m: int):
                 if rows[j] & ~rows[i]:
                     ok = False
         if not ok:
-            continue
-        full = (1 << m) - 1
-        if rows[0] != full:  # 0 must be the bottom
-            continue
-        if any(not rows[i] >> (m - 1) & 1 for i in range(m)):  # m-1 the top
             continue
         down = [0] * m
         for i in range(m):

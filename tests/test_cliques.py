@@ -9,6 +9,7 @@ from cwlattice.bounds import search_upper_bound
 from cwlattice.cliques import (
     ROW_BLOCK,
     CompatibilityGraph,
+    _neighbourhood_others,
     build_graph,
     count_maximum_cliques,
     extract_code,
@@ -369,6 +370,19 @@ def test_searches_compute_only_the_rows_of_vertex_0_and_its_neighbours(n, k, d, 
     fresh = build_graph(n, k, d, exact=exact)
     assert count_maximum_cliques(fresh, searched.size).complete
     assert _computed_rows(fresh) == neighbourhood
+
+
+def test_a_second_search_on_one_graph_reuses_the_colouring_masks():
+    g = build_graph(8, 3, 4)
+    searched = max_clique(g)
+    others = g._others
+    assert others is not None
+    assert count_maximum_cliques(g, searched.size).count == 840
+    assert g._others is others
+    # a row pass cut short by the deadline keeps nothing; 462 vertices of N(0) take two blocks
+    g = build_graph(12, 4, 4)
+    assert _neighbourhood_others(g, 0.0) is None and g._others is None
+    assert _neighbourhood_others(g, None) is _neighbourhood_others(g, None)
 
 
 def test_a_greedy_seed_at_the_bound_computes_only_its_own_rows():

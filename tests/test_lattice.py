@@ -17,6 +17,7 @@ from cwlattice.lattice import (
 )
 from helpers import (
     all_lattices,
+    decompositions_oracle,
     glb_oracle,
     lub_oracle,
     primary_oracle,
@@ -125,6 +126,63 @@ def test_decompositions_b3_bottom_unique():
     b3 = boolean_lattice(3)
     decs = b3.irreducible_decompositions(b3.bottom)
     assert decs == [frozenset({"011", "101", "110"})]
+
+
+def wide_diamond(c: int) -> FiniteLattice:
+    """M_c: c atoms between a bottom and a top."""
+    atoms = [f"a{i}" for i in range(c)]
+    return FiniteLattice(["0", *atoms, "1"], [("0", a) for a in atoms] + [(a, "1") for a in atoms])
+
+
+def product(first: FiniteLattice, second: FiniteLattice) -> FiniteLattice:
+    """The direct product, ordered componentwise."""
+    elements = [f"{x}|{y}" for x in first.elements for y in second.elements]
+    covers = [(f"{a}|{y}", f"{b}|{y}") for a, b in first.cover_pairs() for y in second.elements]
+    covers += [(f"{x}|{a}", f"{x}|{b}") for x in first.elements for a, b in second.cover_pairs()]
+    return FiniteLattice(elements, covers)
+
+
+def subspaces_gf2_3() -> FiniteLattice:
+    """Subspaces of GF(2)^3 as bitsets over its 8 vectors, ordered by inclusion."""
+    spaces = [s for s in range(1, 256, 2)
+              if all(s >> (a ^ b) & 1 for a in range(8) for b in range(8) if s >> a & s >> b & 1)]
+    return FiniteLattice([str(s) for s in spaces],
+                         [(str(u), str(w)) for u in spaces for w in spaces if u != w and u & ~w == 0])
+
+
+def partitions_4() -> FiniteLattice:
+    """Set partitions of 4 points as restricted growth strings, finer below coarser."""
+    parts = [p for p in itertools.product(range(4), repeat=4)
+             if all(p[i] <= max(p[:i], default=-1) + 1 for i in range(4))]
+
+    def finer(p, q):
+        return all(q[i] == q[j] for i in range(4) for j in range(4) if p[i] == p[j])
+
+    return FiniteLattice(["".join(map(str, p)) for p in parts],
+                         [("".join(map(str, p)), "".join(map(str, q)))
+                          for p in parts for q in parts if p != q and finer(p, q)])
+
+
+def test_decompositions_match_the_subset_scan():
+    lattices = [lat for m in range(1, 8) for lat in all_lattices(m)]
+    lattices += named_lattices().values()
+    lattices += [product(subspaces_gf2_3(), chain(3)), product(partitions_4(), chain(3)),
+                 product(chain(3), product(chain(3), chain(3))), product(chain(5), chain(5))]
+    lattices += [wide_diamond(c) for c in range(1, 13)]
+    assert sum(map(len, lattices)) > 2600
+    for lat in lattices:
+        for x in lat.elements:
+            assert lat.irreducible_decompositions(x) == decompositions_oracle(lat, x), (x, lat.to_json())
+
+
+def test_wide_diamond_bottom_decomposes_into_every_pair_of_atoms():
+    for c in (16, 20):
+        lat = wide_diamond(c)
+        pairs = [frozenset(p) for p in itertools.combinations(lat.elements[1:-1], 2)]
+        assert len(pairs) == c * (c - 1) // 2
+        assert lat.irreducible_decompositions("0") == pairs
+    report = wide_diamond(20).decomposition_theorem_report()
+    assert not report.unique_decomposition and report.agree
 
 
 def test_birkhoff():
