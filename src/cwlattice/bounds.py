@@ -4,6 +4,12 @@ All bounds use exact integer arithmetic; floors and ceilings must be
 bit-exact.  Johnson bound 1 applies only when k^2 - kn + (d/2)n > 0,
 so inapplicability is an ordinary return value (None), not an error:
 parameter tables routinely mix applicable and inapplicable rows.
+
+`bound_report` owns the one upper bound that `search` and `table2` stop
+at.  Its entries are caps only: those evaluated on (n, k, d) and one
+``complement`` entry, the least cap on (n, n-k, d).  The upper bound is
+their minimum.  The sphere-covering existence bound is not a cap; it is
+the report's separate ``lower_bound``.
 """
 
 from __future__ import annotations
@@ -52,8 +58,6 @@ def singleton_bound(n: int, k: int, d: int) -> int:
     if d <= 2:
         raise ValueError("singleton bound is stated for d > 2")
     drop = (d - 2) // 2
-    if k < drop or n - k < drop:
-        raise ValueError("need k and n-k >= (d-2)/2")
     return comb(n - drop, max(k, n - k))
 
 
@@ -83,10 +87,11 @@ def johnson1_refined_feasible(n: int, k: int, delta: int, size: int) -> bool:
 
 
 def johnson1_refined(n: int, k: int, delta: int) -> int:
-    """Largest size passing the refined feasibility test.
+    """One less than the smallest size failing the refined feasibility test.
 
-    Scans upward until the first failure and returns C(n,k) when no size
-    up to it fails.  No size can fail when Johnson bound 1 is
+    This is a valid cap because a code contains codes of every smaller
+    size.  Scans upward until the first failure and returns C(n,k) when
+    no size up to it fails.  No size can fail when Johnson bound 1 is
     inapplicable, D = k^2 - kn + delta*n <= 0, so the scan is skipped.
     With kN = na + b, n times the test's slack is
 
@@ -142,23 +147,17 @@ class BoundEntry:
 
 @dataclass
 class BoundReport:
-    """Every bound evaluated for one parameter set, plus the combined caps."""
+    """Every cap evaluated for one parameter set, and the existence lower bound."""
 
     n: int
     k: int
     d: int
+    lower_bound: int
     entries: list[BoundEntry] = field(default_factory=list)
 
     @property
     def upper_bound(self) -> int:
-        return min(e.value for e in self.entries if e.applicable and e.name != "sphere_covering_lower")
-
-    @property
-    def lower_bound(self) -> int:
-        for e in self.entries:
-            if e.name == "sphere_covering_lower":
-                return e.value
-        raise KeyError("sphere_covering_lower")
+        return min(e.value for e in self.entries if e.applicable)
 
     def entry(self, name: str) -> BoundEntry:
         for e in self.entries:
@@ -177,17 +176,14 @@ class BoundReport:
         }
 
 
-def bound_report(n: int, k: int, d: int) -> BoundReport:
-    """Evaluate every applicable bound; the overall upper bound is their minimum."""
-    validate_params(n, k, d)
+def _caps(n: int, k: int, d: int) -> list[BoundEntry]:
+    """The caps evaluated on (n, k, d) itself."""
     delta = d // 2
-    report = BoundReport(n=n, k=k, d=d)
-    add = report.entries.append
+    caps: list[BoundEntry] = []
+    add = caps.append
 
     add(BoundEntry("subset_cap", comb(n, k), "number of k-subsets"))
     add(BoundEntry("sphere_packing", sphere_packing_bound(n, k, d)))
-    add(BoundEntry("sphere_covering_lower", sphere_covering_lower(n, k, d),
-                   "existence lower bound, not a cap"))
     if d > 2:
         add(BoundEntry("singleton", singleton_bound(n, k, d)))
     else:
@@ -204,13 +200,17 @@ def bound_report(n: int, k: int, d: int) -> BoundReport:
     reason = "feasibility never fails; value is the trivial cap" if trivial else ""
     add(BoundEntry("johnson1_refined", refined, reason))
     add(BoundEntry("johnson2", johnson2(n, k, delta)))
-    return report
+    return caps
 
 
-def search_upper_bound(n: int, k: int, d: int) -> int:
-    """Min proven upper bound over the parameter set and its complement.
+def bound_report(n: int, k: int, d: int) -> BoundReport:
+    """Evaluate every cap on (n, k, d), plus the least cap on its complement.
 
     Complementing every codeword maps (n, k, d) codes onto (n, n-k, d)
-    codes, so a bound on either caps both.
+    codes, so a cap on either caps both; the overall upper bound is the
+    minimum over all entries.
     """
-    return min(bound_report(n, k, d).upper_bound, bound_report(n, n - k, d).upper_bound)
+    validate_params(n, k, d)
+    best = min((e for e in _caps(n, n - k, d) if e.applicable), key=lambda e: e.value)
+    complement = BoundEntry("complement", best.value, f"{best.name} of (n={n}, k={n - k}, d={d})")
+    return BoundReport(n, k, d, sphere_covering_lower(n, k, d), [*_caps(n, k, d), complement])

@@ -26,7 +26,6 @@ from cwlattice.gf import Polynomial
 from cwlattice.lattice import (
     FiniteLattice,
     MultiplicationTable,
-    SizeLimitError,
     check_primary,
     check_prime,
 )
@@ -241,7 +240,7 @@ def _search_row(n: int, k: int, d: int, exact: bool, args) -> dict:
     with a witness code and, with --count, the number of maximum cliques of a certified
     size.  --timeout bounds the search and the count each."""
     graph = cliques.build_graph(n, k, d, exact=exact)
-    upper = None if exact else bounds_mod.search_upper_bound(n, k, d)
+    upper = None if exact else bounds_mod.bound_report(n, k, d).upper_bound
     result = cliques.max_clique(graph, upper_bound=upper, timeout=args.timeout)
     row = {
         "n": n,
@@ -349,8 +348,6 @@ def cmd_lattice(args) -> int:
     if args.element is not None:
         try:
             decs = lat.irreducible_decompositions(args.element)
-        except SizeLimitError:
-            raise
         except ValueError as exc:  # the element is not in the lattice
             raise SchemaError(f"--element: {exc}") from None
         payload["decompositions"] = [sorted(s) for s in decs]

@@ -164,9 +164,9 @@ class ConstantWeightCode:
         code = cls(obj["n"], obj["codewords"])
         for key, actual in (("k", code.k), ("d", code._d_min)):
             if obj.get(key) is not None and obj[key] != actual:
-                raise ValueError(
-                    f"catalog claims {key}={obj[key]} but the codewords have {key}={actual}"
-                )
+                found = ("a single codeword has no minimum distance" if actual is None
+                         else f"the codewords have {key}={actual}")
+                raise ValueError(f"catalog claims {key}={obj[key]} but {found}")
         return code
 
 

@@ -182,8 +182,6 @@ class FiniteLattice:
         """
         xi = self._idx(x)
         cands = self._irreducible & self._up[xi]
-        if cands.bit_count() > 20:
-            raise SizeLimitError("too many meet-irreducibles for a subset scan")
         family = [0]
         for y in _bits(self._cover_up[xi]):
             missed = cands & ~self._up[y]

@@ -50,14 +50,6 @@ def criterion(name):
     print(f"criterion {name}: PASS")
 
 
-def search_upper_bound(n, k, d):
-    ub = bounds.bound_report(n, k, d).upper_bound
-    nk = n - k
-    if 1 <= nk and d <= 2 * min(nk, n - nk):
-        ub = min(ub, bounds.bound_report(n, nk, d).upper_bound)
-    return ub
-
-
 def test_criterion_1_worked_example(pool744, code744, f2):
     with criterion("1 (worked example compose/decompose)"):
         started = time.monotonic()
@@ -110,7 +102,7 @@ def test_criterion_4_table_reproduction():
         for (n, k, d), expected in TABLE2_EXPECTED.items():
             graph = build_graph(n, k, d)
             result = max_clique(
-                graph, upper_bound=search_upper_bound(n, k, d), timeout=120
+                graph, upper_bound=bounds.bound_report(n, k, d).upper_bound, timeout=120
             )
             assert result.complete, (n, k, d)
             assert result.size == expected, (n, k, d)

@@ -8,7 +8,6 @@ from cwlattice.bounds import (
     johnson1_refined,
     johnson1_refined_feasible,
     johnson2,
-    search_upper_bound,
     singleton_bound,
     sphere_covering_lower,
     sphere_packing_bound,
@@ -142,10 +141,21 @@ def test_bound_report_johnson1_inapplicable():
 
 def test_search_upper_bound_takes_the_complement():
     # (10,7,4) codes complement to (10,3,4) codes, whose bound is tighter
-    assert bound_report(10, 7, 4).upper_bound == 22
+    report = bound_report(10, 7, 4)
+    assert report.entry("johnson2").value == 22
+    assert report.entry("complement").value == 13
+    assert report.upper_bound == 13
     assert bound_report(10, 3, 4).upper_bound == 13
-    assert search_upper_bound(10, 7, 4) == 13
-    assert search_upper_bound(10, 3, 4) == 13
+
+
+def test_upper_bound_is_symmetric_under_complement():
+    rows = [(n, k, d) for n in range(1, 25) for k in range(1, n + 1)
+            for d in range(2, 2 * min(k, n - k) + 1, 2)]
+    assert len(rows) == 1222
+    for n, k, d in rows:
+        report = bound_report(n, k, d)
+        assert report.entry("complement").applicable, (n, k, d)
+        assert report.upper_bound == bound_report(n, n - k, d).upper_bound, (n, k, d)
 
 
 def test_bound_report_trivial_distance():
@@ -158,4 +168,7 @@ def test_bound_report_json():
     obj = bound_report(9, 7, 4).to_json()
     assert obj["upper_bound"] == 4
     names = {e["name"] for e in obj["bounds"]}
-    assert {"johnson1", "johnson2", "sphere_packing", "singleton"} <= names
+    assert {"johnson1", "johnson2", "sphere_packing", "singleton", "complement"} <= names
+    # the bounds list holds caps only; the existence bound is lower_bound
+    assert "sphere_covering_lower" not in names
+    assert obj["lower_bound"] == sphere_covering_lower(9, 7, 4)

@@ -239,14 +239,14 @@ def test_lattice_unknown_element_names_the_flag(tmp_path, capsys):
     rc, _, err = run(capsys, "lattice", "--file", str(path), "--element", "zz")
     assert rc == 2
     assert err == "error: --element: unknown lattice element 'zz'\n"
-    # a lattice too large for the subset scan stays a domain error
+    # 21 meet-irreducibles above the element are no limit: M_21's bottom is every pair of atoms
     atoms = [f"a{i}" for i in range(21)]
     wide = {"elements": ["0", *atoms, "1"],
             "covers": [["0", a] for a in atoms] + [[a, "1"] for a in atoms]}
     path.write_text(json.dumps(wide))
-    rc, _, err = run(capsys, "lattice", "--file", str(path), "--element", "0")
-    assert rc == 1
-    assert err == "error: too many meet-irreducibles for a subset scan\n"
+    rc, out, _ = run(capsys, "lattice", "--file", str(path), "--element", "0", "--json")
+    assert rc == 0
+    assert len(json.loads(out)["decompositions"]) == 210
 
 
 def test_lattice_theorem_past_twelve_elements(tmp_path, capsys):
@@ -451,6 +451,16 @@ def test_table2_rows(capsys):
     assert any("disagrees" in note for note in flagged["notes"])
     assert all(r["complete"] for r in rows)
     assert all(r["nodes"] >= 0 for r in rows)
+
+
+def test_bounds_prints_the_bound_table2_stops_at(capsys):
+    rc, out, _ = run(capsys, "table2", "--json")
+    assert rc == 0
+    for row in json.loads(out)["rows"]:
+        rc, out, _ = run(capsys, "bounds", "--n", str(row["n"]), "--k", str(row["k"]),
+                         "--d", str(row["d"]), "--json")
+        assert rc == 0
+        assert json.loads(out)["upper_bound"] == row["upper_bound"], (row["n"], row["k"], row["d"])
 
 
 def assert_search_rows_match_table2(capsys, *flags):

@@ -84,6 +84,8 @@ def load(kind: str, text: str, directory):
         ("code", {"n": 7, "codewords": [[0, 1, 2, 3]], "extra": 1}, "unknown field 'extra'"),
         ("code", {"n": 7, "k": 5, "codewords": [[0, 1, 2, 3], [0, 1, 4, 5]]}, "claims k=5"),
         ("code", {"n": 7, "codewords": []}, "at least one codeword"),
+        ("code", {"n": 7, "d": 4, "codewords": [[0, 1, 2, 3]]},
+         "claims d=4 but a single codeword has no minimum distance"),
         ("lattice", {"elements": ["0", "1"], "covers": [["0", "2"]]}, "'2'"),
         ("lattice", {"elements": ["0", "1", "2"], "covers": [["0", "1"], ["1", "zz"]]},
          "covers[1]: unknown lattice element 'zz'"),
@@ -110,6 +112,7 @@ def load(kind: str, text: str, directory):
         "pool-coefficient-range", "pool-constituent-hex", "pool-constant-constituent",
         "pool-duplicate-constituent",
         "code-codeword-item", "code-unknown-key", "code-wrong-k", "code-no-codewords",
+        "code-single-codeword-d",
         "lattice-cover-unknown", "lattice-cover-field", "lattice-mult-unknown",
         "lattice-mult-field", "lattice-mult-size",
         "lattice-int-labels",

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from cwlattice.bounds import search_upper_bound
+from cwlattice.bounds import bound_report
 from cwlattice.cliques import (
     ROW_BLOCK,
     CompatibilityGraph,
@@ -225,15 +225,11 @@ def test_extract_code_exact_mode_has_exact_distance():
 
 
 def test_achieved_sizes_sit_between_bounds():
-    from cwlattice.bounds import bound_report
-
     rows = [(8, 4, 4), (8, 5, 4), (9, 4, 4), (9, 5, 4), (9, 7, 4),
             (9, 6, 6), (10, 3, 4), (10, 7, 4), (10, 6, 6), (10, 7, 6)]
     for n, k, d in rows:
         report = bound_report(n, k, d)
-        complement = bound_report(n, n - k, d)
-        hint = min(report.upper_bound, complement.upper_bound)
-        result = max_clique(build_graph(n, k, d), upper_bound=hint, timeout=120)
+        result = max_clique(build_graph(n, k, d), upper_bound=report.upper_bound, timeout=120)
         assert result.complete
         assert report.lower_bound <= result.size <= report.upper_bound, (n, k, d)
 
@@ -387,7 +383,7 @@ def test_a_second_search_on_one_graph_reuses_the_colouring_masks():
 
 def test_a_greedy_seed_at_the_bound_computes_only_its_own_rows():
     g = build_graph(15, 3, 4)
-    result = max_clique(g, upper_bound=search_upper_bound(15, 3, 4))
+    result = max_clique(g, upper_bound=bound_report(15, 3, 4).upper_bound)
     assert result.complete and result.size == 35 and result.nodes == 0
     assert _computed_rows(g) == set(result.witnesses[0])
 
@@ -429,7 +425,7 @@ def test_search_outputs_are_pinned(params, searched, counted):
 
 def test_search_at_the_proven_bound_is_pinned():
     g = build_graph(11, 5, 6)
-    result = max_clique(g, upper_bound=search_upper_bound(11, 5, 6))
+    result = max_clique(g, upper_bound=bound_report(11, 5, 6).upper_bound)
     assert result.complete and (result.size, result.nodes) == (11, 10)
     count = count_maximum_cliques(g, 11)
     assert count.complete and not count.capped
