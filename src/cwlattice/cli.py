@@ -207,10 +207,7 @@ def cmd_pool(args) -> int:
             element = pool.compose(subset)
         except ValueError as exc:
             raise SchemaError(f"--compose: {exc}") from None
-        if pool.backend == "poly":
-            shown = pool.element_to_json(element)
-        else:
-            shown = sorted(element)
+        shown = pool.element_to_json(element)
         result["compose"] = {"subset": list(subset), "element": shown}
         lines.append(f"compose {list(subset)} -> {shown}")
     if args.decompose is not None:
@@ -227,8 +224,8 @@ def cmd_bounds(args) -> int:
     report = bounds_mod.bound_report(args.n, args.k, args.d)
     lines = [f"bounds for (n={args.n}, k={args.k}, d={args.d})"]
     for e in report.entries:
-        mark = e.value if e.applicable else f"not applicable ({e.reason})"
-        lines.append(f"  {e.name:22s} {mark}")
+        mark = e.value if e.applicable else "not applicable"
+        lines.append(f"  {e.name:22s} {mark}" + (f" ({e.reason})" if e.reason else ""))
     lines.append(f"  upper bound: {report.upper_bound}")
     lines.append(f"  existence lower bound: {report.lower_bound}")
     _emit(report.to_json(), args, lines)

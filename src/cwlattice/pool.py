@@ -229,6 +229,10 @@ class SubsetPool:
             )
         return indices
 
+    def element_to_json(self, element: Iterable[int]) -> list[int]:
+        """An element as documents write it: its sorted index list."""
+        return sorted(element)
+
     def to_json(self) -> dict:
         return {"backend": "set", "n": self.n}
 

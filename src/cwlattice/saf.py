@@ -43,10 +43,8 @@ first draw.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import enum
-import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -80,10 +78,9 @@ class NetworkTopology:
         layer_of = [layer for layer, size in enumerate(layer_sizes) for _ in range(size)]
         preds: list[list[int]] = [[] for _ in layer_of]
         for u, v in edges:
-            if not (0 <= u < len(layer_of) and 0 <= v < len(layer_of)):
-                raise ValueError(f"edge ({u}, {v}) names a node outside 0..{len(layer_of) - 1}")
-            if layer_of[u] >= layer_of[v]:
-                raise ValueError(f"edge ({u}, {v}) does not go to a later layer")
+            fault = _edge_fault(layer_of, u, v)
+            if fault:
+                raise ValueError(fault)
             preds[v].append(u)
         for v in range(1, len(preds)):
             indeg = len(preds[v])
@@ -125,6 +122,15 @@ class NetworkTopology:
     def in_edges(self, v: int) -> tuple[Edge, ...]:
         """The edges into node v, sorted."""
         return tuple((u, v) for u in self.preds[v])
+
+
+def _edge_fault(layer_of: Sequence[int], u: int, v: int) -> str | None:
+    """Why (u, v) cannot be an edge when node x lies in layer ``layer_of[x]``; None if it can."""
+    if not (0 <= u < len(layer_of) and 0 <= v < len(layer_of)):
+        return f"edge ({u}, {v}) names a node outside 0..{len(layer_of) - 1}"
+    if layer_of[u] >= layer_of[v]:
+        return f"edge ({u}, {v}) does not go to a later layer"
+    return None
 
 
 def _check_topology(layers: int, width: int, max_indegree: int, edge_density: float) -> None:
@@ -421,35 +427,27 @@ def check_adversary(model: Adversary, layer_sizes: Sequence[int], q: int) -> Non
     """Raise ValueError naming the first rule or listed edge no trial can use.
 
     Random substitution that may act needs q >= 3.  A rule's old and new
-    symbols must be nonzero elements of F_q, and every edge (u, v) must
-    run from an earlier layer to a later one, with v no later than the
-    sink.  O(rules + edges); a model with neither returns at once.
+    symbols must be nonzero elements of F_q, and every edge must pass the
+    check a hand-built topology's edges get (``_edge_fault``): it names
+    nodes of the topology and runs to a later layer.  A model with no
+    rules and no edges returns at once; otherwise the cost is
+    O(nodes + rules + edges).
     """
     _check_substitution_room(model, q)
     rules = getattr(model, "rules", ())
     edges = getattr(model, "edges", ())
     if not (rules or edges):
         return
-    starts = list(itertools.accumulate(layer_sizes, initial=0))
-    sink = starts[-1] - 1
-
-    def edge_fault(u: int, v: int) -> str | None:
-        if v > sink:
-            return f"edge ({u}, {v}) ends past the sink, node {sink}"
-        # bisect_right(starts, x) - 1 is the layer of node x
-        if u < 0 or bisect.bisect_right(starts, u) >= bisect.bisect_right(starts, v):
-            return f"edge ({u}, {v}) does not go to a later layer"
-        return None
-
+    layer_of = [layer for layer, size in enumerate(layer_sizes) for _ in range(size)]
     for i, (edge, old, new) in enumerate(rules):
-        fault = edge_fault(*edge)
+        fault = _edge_fault(layer_of, *edge)
         for name, symbol in (("old", old), ("new", new)):
             if fault is None and not 1 <= symbol < q:
                 fault = f"{name} symbol {symbol} is not a nonzero element of F_{q}"
         if fault:
             raise ValueError(f"rules[{i}]: {fault}")
     for i, edge in enumerate(edges):
-        fault = edge_fault(*edge)
+        fault = _edge_fault(layer_of, *edge)
         if fault:
             raise ValueError(f"edges[{i}]: {fault}")
 

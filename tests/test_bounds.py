@@ -45,6 +45,12 @@ def test_parameter_validation():
         sphere_packing_bound(7, 4, 10)
     with pytest.raises(ValueError):
         sphere_packing_bound(4, 5, 2)
+    with pytest.raises(ValueError, match="delta must be at least 1"):
+        johnson1(7, 4, 0)
+    with pytest.raises(ValueError, match="code size must be at least 1"):
+        johnson1_refined_feasible(7, 4, 2, 0)
+    with pytest.raises(KeyError):
+        bound_report(7, 4, 4).entry("no_such_bound")
 
 
 def test_singleton_values():

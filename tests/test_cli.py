@@ -24,6 +24,9 @@ def test_bounds_text(capsys):
     rc, out, _ = run(capsys, "bounds", "--n", "7", "--k", "4", "--d", "4")
     assert rc == 0
     assert "johnson1" in out and "upper bound: 7" in out
+    rc, out, _ = run(capsys, "bounds", "--n", "10", "--k", "7", "--d", "4")
+    assert rc == 0
+    assert "complement             13 (johnson2 of (n=10, k=3, d=4))" in out
 
 
 def test_bounds_json_roundtrip(capsys):
@@ -94,6 +97,17 @@ def test_pool_gf3_round_trip(tmp_path, capsys):
     rc, _, err = run(capsys, "pool", "--file", str(path), "--decompose", "0,1,x")
     assert rc == 2
     assert err == "error: --decompose: expected comma-separated integers, got '0,1,x'\n"
+
+
+def test_pool_set_backend_compose_and_decompose(tmp_path, capsys):
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps({"backend": "set", "n": 3}))
+    rc, out, _ = run(capsys, "pool", "--file", str(path), "--compose", "0,2")
+    assert rc == 0
+    assert "compose [0, 2] -> [0, 2]\n" in out
+    rc, out, err = run(capsys, "pool", "--file", str(path), "--decompose", "1")
+    assert rc == 2 and out == ""
+    assert err == "error: --decompose needs a poly pool\n"
 
 
 def test_pool_coefficients_out_of_range_name_the_field(tmp_path, capsys):
@@ -400,9 +414,9 @@ TOPOLOGY = '{"layers":2,"width":1}'
          "--adversary", "bad adversary document: rules[0]: old symbol -3 is not a nonzero element of F_11"),
         (("--topology", TOPOLOGY, "--adversary",
           '{"type":"targeted_substitution","rules":[{"edge":[5,9],"old":2,"new":3}]}'),
-         "--adversary", "bad adversary document: rules[0]: edge (5, 9) ends past the sink, node 1"),
+         "--adversary", "bad adversary document: rules[0]: edge (5, 9) names a node outside 0..1"),
         (("--topology", TOPOLOGY, "--adversary", '{"type":"edge_erasure","edges":[[0,1],[7,3]]}'),
-         "--adversary", "bad adversary document: edges[1]: edge (7, 3) ends past the sink, node 1"),
+         "--adversary", "bad adversary document: edges[1]: edge (7, 3) names a node outside 0..1"),
         (("--topology", '{"layers":6,"width":4}', "--adversary", '{"type":"edge_erasure","edges":[[7,3]]}'),
          "--adversary", "bad adversary document: edges[0]: edge (7, 3) does not go to a later layer"),
     ],
@@ -451,6 +465,21 @@ def test_table2_rows(capsys):
     assert any("disagrees" in note for note in flagged["notes"])
     assert all(r["complete"] for r in rows)
     assert all(r["nodes"] >= 0 for r in rows)
+
+
+def test_table2_timeout_skips_the_count_of_an_uncertified_row(capsys):
+    rc, out, _ = run(capsys, "table2", "--timeout", "0", "--count", "--json")
+    assert rc == 0
+    rows = json.loads(out)["rows"]
+    rc, text, _ = run(capsys, "table2", "--timeout", "0", "--count")
+    assert rc == 0
+    lines = text.splitlines()[1:]
+    assert len(lines) == len(rows)
+    assert any(not row["complete"] for row in rows)
+    for row, line in zip(rows, lines):
+        if not row["complete"]:
+            assert row["count"] is None and row["notes"] == ["timeout: size is a lower bound"]
+            assert " skipped " in line and line.endswith("timeout: size is a lower bound")
 
 
 def test_bounds_prints_the_bound_table2_stops_at(capsys):

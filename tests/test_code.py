@@ -52,6 +52,8 @@ def test_code_validation():
         ConstantWeightCode(5, [(0, 5)])
     with pytest.raises(ValueError, match="codewords must be nonempty"):
         ConstantWeightCode(5, [()])
+    with pytest.raises(ValueError, match="ground set size must be positive"):
+        ConstantWeightCode(0, [(0,)])
 
 
 def test_min_distance_sample(code744):
@@ -218,6 +220,8 @@ def test_puncture_requires_distance(code744):
         puncture(once)  # d dropped to 2
     with pytest.raises(ValueError):
         puncture(ConstantWeightCode(3, [(0,), (1,)]))
+    with pytest.raises(ValueError, match=r"removed index must lie in 0\.\.6"):
+        puncture(code744, removed_index=code744.n)
 
 
 def test_puncture_randomized_keeps_size_and_distance():

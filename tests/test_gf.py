@@ -320,6 +320,15 @@ def test_hex_rejects_garbage(f2):
         Polynomial.from_hex("XYZ", f2)
     with pytest.raises(ValueError):
         Polynomial.from_hex("", f2)
+    with pytest.raises(ValueError, match="invalid hex string '-1F'"):
+        Polynomial.from_hex("-1F", f2)
+
+
+def test_polynomial_is_immutable(f2):
+    f = Polynomial(f2, (1, 1))
+    with pytest.raises(AttributeError, match="immutable"):
+        f.coeffs = (1,)
+    assert f.coeffs == (1, 1)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -61,6 +61,12 @@ def test_construction_rejects_non_lattices():
     dual = [(hi, lo) for lo, hi in covers]
     with pytest.raises(ValueError, match="'x', 'y' lack a unique greatest lower bound"):
         FiniteLattice(["0", "x", "y", "p", "q", "1"], dual)
+    with pytest.raises(ValueError, match="labels must be distinct"):
+        FiniteLattice(["a", "b", "a"], [("a", "b")])
+    with pytest.raises(ValueError, match=r"cover \(a, a\) relates an element to itself"):
+        FiniteLattice(["a", "b"], [("a", "a"), ("a", "b")])
+    with pytest.raises(ValueError, match="at least one element"):
+        chain(0)
 
 
 def test_meet_join_against_order_oracle():

@@ -126,6 +126,15 @@ def test_decompose_foreign_factor_raises(pool744, f2):
     pool = gf3_pool()
     with pytest.raises(NotDecomposableError, match=r"^factor Poly\(2 over GF\(3\)\) is not"):
         pool.decompose(pool.compose([0, 2]) * Polynomial(pool.field, (2,)))
+    with pytest.raises(ValueError, match="not defined over the pool's field"):
+        pool744.decompose(pool.compose([0]))
+
+
+def test_subset_pool_validation():
+    with pytest.raises(ValueError, match="pool size must be positive"):
+        SubsetPool(0)
+    with pytest.raises(NotDecomposableError, match=r"indices must lie in 0\.\.2, got \(0, 5\)"):
+        SubsetPool(3).decompose([0, 5])
 
 
 def test_decompose_product_of_all_constituents(pool744):

@@ -257,16 +257,27 @@ def test_adversary_prob_must_lie_in_unit_interval(model):
     [
         (TargetedSubstitution(rules=(((0, 1), 1, 99),)), r"rules\[0\]: new symbol 99 is not a nonzero"),
         (TargetedSubstitution(rules=(((0, 1), 1, 2), ((0, 1), -3, 2))), r"rules\[1\]: old symbol -3"),
-        (TargetedSubstitution(rules=(((5, 9), 2, 3),)), r"rules\[0\]: edge \(5, 9\) ends past the sink"),
+        (TargetedSubstitution(rules=(((5, 9), 2, 3),)), r"rules\[0\]: edge \(5, 9\) names a node outside 0\.\.7"),
         (EdgeErasure(edges=((0, 1), (7, 3))), r"edges\[1\]: edge \(7, 3\) does not go to a later"),
         (EdgeErasure(edges=((1, 2),)), r"edges\[0\]: edge \(1, 2\) does not go to a later"),
-        (EdgeErasure(edges=((-1, 4),)), r"edges\[0\]: edge \(-1, 4\) does not go to a later"),
+        (EdgeErasure(edges=((-1, 4),)), r"edges\[0\]: edge \(-1, 4\) names a node outside 0\.\.7"),
     ],
 )
 def test_check_adversary_names_the_bad_rule(model, message):
     # layers (1, 3, 3, 1): nodes 1-3 and 4-6 in the middle, sink 7
     with pytest.raises(ValueError, match=message):
         check_adversary(model, (1, 3, 3, 1), 11)
+
+
+@pytest.mark.parametrize("edge", [(5, 9), (-1, 4), (7, 3), (1, 2)],
+                         ids=["past-sink", "negative-tail", "backwards", "same-layer"])
+def test_topology_and_adversary_reject_an_edge_alike(edge):
+    layers = (1, 3, 3, 1)
+    with pytest.raises(ValueError) as topology_error:
+        NetworkTopology(layer_sizes=layers, edges=(edge,), max_indegree=3)
+    with pytest.raises(ValueError) as adversary_error:
+        check_adversary(EdgeErasure(edges=(edge,)), layers, 11)
+    assert str(adversary_error.value) == f"edges[0]: {topology_error.value}"
 
 
 def test_check_adversary_accepts_what_a_run_can_use(code744, pool744):
@@ -277,7 +288,7 @@ def test_check_adversary_accepts_what_a_run_can_use(code744, pool744):
     ):
         check_adversary(model, (1, 3, 3, 1), 11)
     spec = TopologySpec(4, 3, 3)
-    with pytest.raises(ValueError, match="past the sink"):
+    with pytest.raises(ValueError, match=r"outside 0\.\.7"):
         run_experiment(code744, pool744, SymbolMap.default(7), spec,
                        EdgeErasure(edges=((3, 8),)), trials=0)
 
