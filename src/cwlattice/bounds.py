@@ -6,10 +6,15 @@ so inapplicability is an ordinary return value (None), not an error:
 parameter tables routinely mix applicable and inapplicable rows.
 
 `bound_report` owns the one upper bound that `search` and `table2` stop
-at.  Its entries are caps only: those evaluated on (n, k, d) and one
-``complement`` entry, the least cap on (n, n-k, d).  The upper bound is
-their minimum.  The sphere-covering existence bound is not a cap; it is
-the report's separate ``lower_bound``.
+at: the minimum of its entries, each cap evaluated once on (n, k, d) and
+a ``complement`` entry, ``johnson2`` on (n, n-k, d).  Complementing every
+codeword maps (n, k, d) codes onto (n, n-k, d) codes, and no other cap
+changes under it: ``subset_cap`` is C(n,k); ``sphere_packing`` reads
+sum C(k,i)*C(n-k,i); ``singleton`` reads max(k, n-k); ``johnson1`` reads
+D = delta*n - k(n-k); ``johnson1_refined`` reads the slack
+b(n-b) <= N(delta*n - D*N), and b = kN mod n becomes n - b.  Only the
+nested floors of ``johnson2`` depend on k itself.  The Gilbert existence
+bound is not a cap; it is the report's separate ``lower_bound``.
 """
 
 from __future__ import annotations
@@ -45,11 +50,10 @@ def sphere_packing_bound(n: int, k: int, d: int) -> int:
 
 
 def sphere_covering_lower(n: int, k: int, d: int) -> int:
-    """A code of minimum distance >= d with at least this many codewords exists."""
+    """Gilbert bound: a code of minimum distance >= d with this many codewords
+    exists, as each greedy pick rules out a sphere of radius d/2 - 1."""
     validate_params(n, k, d)
-    t = (d // 2 - 1) // 2
-    size = sphere_size(n, k, t + 1)
-    return -(-comb(n, k) // size)
+    return -(-comb(n, k) // sphere_size(n, k, d // 2 - 1))
 
 
 def singleton_bound(n: int, k: int, d: int) -> int:
@@ -176,11 +180,14 @@ class BoundReport:
         }
 
 
-def _caps(n: int, k: int, d: int) -> list[BoundEntry]:
-    """The caps evaluated on (n, k, d) itself."""
+def bound_report(n: int, k: int, d: int) -> BoundReport:
+    """Evaluate every cap once on (n, k, d), plus ``johnson2`` on (n, n-k, d),
+    the one cap the complement changes: ``upper_bound`` is the least cap on
+    either row."""
+    validate_params(n, k, d)
     delta = d // 2
-    caps: list[BoundEntry] = []
-    add = caps.append
+    report = BoundReport(n, k, d, sphere_covering_lower(n, k, d))
+    add = report.entries.append
 
     add(BoundEntry("subset_cap", comb(n, k), "number of k-subsets"))
     add(BoundEntry("sphere_packing", sphere_packing_bound(n, k, d)))
@@ -200,17 +207,6 @@ def _caps(n: int, k: int, d: int) -> list[BoundEntry]:
     reason = "feasibility never fails; value is the trivial cap" if trivial else ""
     add(BoundEntry("johnson1_refined", refined, reason))
     add(BoundEntry("johnson2", johnson2(n, k, delta)))
-    return caps
-
-
-def bound_report(n: int, k: int, d: int) -> BoundReport:
-    """Evaluate every cap on (n, k, d), plus the least cap on its complement.
-
-    Complementing every codeword maps (n, k, d) codes onto (n, n-k, d)
-    codes, so a cap on either caps both; the overall upper bound is the
-    minimum over all entries.
-    """
-    validate_params(n, k, d)
-    best = min((e for e in _caps(n, n - k, d) if e.applicable), key=lambda e: e.value)
-    complement = BoundEntry("complement", best.value, f"{best.name} of (n={n}, k={n - k}, d={d})")
-    return BoundReport(n, k, d, sphere_covering_lower(n, k, d), [*_caps(n, k, d), complement])
+    add(BoundEntry("complement", johnson2(n, n - k, delta),
+                   f"johnson2 of (n={n}, k={n - k}, d={d})"))
+    return report

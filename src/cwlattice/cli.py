@@ -5,7 +5,7 @@
     cwlattice search    --n 8 --k 4 --d 4 [--exact] [--count] [--cap N] [--timeout S] [--out code.json]
     cwlattice decode    (--code code.json | --sample-code) --received 1,3,6
     cwlattice lattice   --file lattice.json [--element x] [--check-theorem]
-    cwlattice simulate  (--code ... [--pool ...] | --sample) --topology JSON --adversary JSON --trials T [--csv out.csv]
+    cwlattice simulate  (--code code.json | --sample) [--pool pool.json] --topology JSON --adversary JSON --trials T [--csv out.csv]
     cwlattice table2    [--count] [--cap N] [--timeout S] [--json]
 
 Exit codes: 0 success, 1 errors computing on inputs that loaded, 2 usage
@@ -376,14 +376,11 @@ def _adversary(obj: dict) -> saf.Adversary:
 
 
 def cmd_simulate(args) -> int:
-    if args.sample:
-        pool = data.sample_pool()
-        code = data.sample_code()
-    else:
-        if not args.code:
-            raise SchemaError("simulate needs --code (or --sample)")
-        code = _load("code", ConstantWeightCode.from_json, args.code)
-        pool = _load("pool", pool_from_json, args.pool) if args.pool else None
+    if bool(args.code) == args.sample:
+        raise SchemaError("simulate needs exactly one of --code and --sample")
+    code = (data.sample_code() if args.sample
+            else _load("code", ConstantWeightCode.from_json, args.code))
+    pool = _load("pool", pool_from_json, args.pool) if args.pool else None
     spec = _load("topology", lambda obj: saf.TopologySpec(
         layers=obj["layers"],
         width=obj["width"],
@@ -514,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--code", help="code catalog JSON")
     p.add_argument("--pool", help="pool JSON, checked against the code's n when given")
     p.add_argument("--sample", action="store_true",
-                   help="use the bundled pool and (7,4,4) code")
+                   help="use the bundled (7,4,4) code")
     p.add_argument("--topology", required=True,
                    help='JSON, e.g. {"layers":4,"width":3,"indegree":3,"density":0.5,"seed":1}')
     p.add_argument("--adversary", default='{"type":"none"}',

@@ -29,16 +29,16 @@ when it comes first, so a node whose first arriving packet is the one
 its tail emitted forwards that packet without dedup.
 
 All randomness is seeded; a trial is a pure function of its seeds.
-``random_dag`` repairs an in-degree by drawing inline, consuming exactly
-the words ``random.Random.sample`` would, so its DAGs are those a
+``random_dag`` repairs an in-degree as ``random.Random.sample`` would:
+the stdlib's pool branch is drawn inline, consuming exactly its words,
+and its set branch is the stdlib's own call, so its DAGs are those a
 ``sample`` call gives; the tests compare the two on each interpreter
-they run on.  The
-models with a ``seed`` field (random substitution, edge erasure) draw
-from a ``random.Random`` seeded per trial; the others never draw and
-get None.  ``run_experiment`` checks the pool size once per run, and
-the adversary against the layers and q (``check_adversary``); a single
-``run_trial`` still refuses random substitution over F_2 before its
-first draw.
+they run on.  The models with a ``seed`` field (random substitution,
+edge erasure) draw from a ``random.Random`` seeded per trial; the
+others never draw and get None.  ``run_experiment`` checks the pool
+size once per run, and the adversary against the layers and q
+(``check_adversary``); a single ``run_trial`` still refuses random
+substitution over F_2 before its first draw.
 """
 
 from __future__ import annotations
@@ -147,13 +147,13 @@ def _layer_sizes(layers: int, width: int) -> tuple[int, ...]:
     return (1, *([width] * (layers - 2)), 1)
 
 
-def _sorted_sample(getrandbits, chosen: Sequence[int], m: int) -> tuple[int, ...]:
-    """``tuple(sorted(rng.sample(chosen, m)))`` for ``getrandbits = rng.getrandbits``.
+def _sorted_sample(rng: random.Random, chosen: Sequence[int], m: int) -> tuple[int, ...]:
+    """``tuple(sorted(rng.sample(chosen, m)))``, consuming the same words.
 
-    Consumes exactly the words ``random.Random.sample`` would, so the
-    rest of the stream is unchanged: both of its branches, each pick by
-    the rejection draw of ``_randbelow_with_getrandbits`` (draw
-    ``bit_length`` bits until below the bound).  Needs 0 <= m <= len(chosen).
+    The stdlib's pool branch is drawn inline, each pick by the rejection
+    draw of ``_randbelow_with_getrandbits`` (draw ``bit_length`` bits
+    until below the bound); its set branch is the stdlib's own call.
+    Needs 0 <= m <= len(chosen).
     """
     n = len(chosen)
     setsize = 21
@@ -161,28 +161,21 @@ def _sorted_sample(getrandbits, chosen: Sequence[int], m: int) -> tuple[int, ...
         # 4 ** ceil(log(3m, 4)): 3m is never a power of 4, so this is the
         # least power of 4 above 3m
         setsize += 4 ** (((3 * m - 1).bit_length() + 1) // 2)
-    if n <= setsize:
-        # pool branch: pick below the shrinking bound, then move the last
-        # unpicked candidate into the vacancy
-        pool = list(chosen)
-        picks = []
-        for bound in range(n, n - m, -1):
-            bits = bound.bit_length()
-            j = getrandbits(bits)
-            while j >= bound:
-                j = getrandbits(bits)
-            picks.append(pool[j])
-            pool[j] = pool[bound - 1]
-        picks.sort()
-        return tuple(picks)
-    # set branch: redraw until below n and not yet picked
-    bits = n.bit_length()
-    picked: set[int] = set()
-    while len(picked) < m:
-        j = getrandbits(bits)
-        if j < n:
-            picked.add(j)
-    return tuple(sorted([chosen[j] for j in picked]))
+    if n > setsize:
+        return tuple(sorted(rng.sample(chosen, m)))
+    # pool branch: pick below the shrinking bound, then move the last
+    # unpicked candidate into the vacancy
+    pool = list(chosen)
+    picks = []
+    for bound in range(n, n - m, -1):
+        bits = bound.bit_length()
+        j = rng.getrandbits(bits)
+        while j >= bound:
+            j = rng.getrandbits(bits)
+        picks.append(pool[j])
+        pool[j] = pool[bound - 1]
+    picks.sort()
+    return tuple(picks)
 
 
 def random_dag(
@@ -210,7 +203,6 @@ def random_dag(
     _check_topology(layers, width, max_indegree, edge_density)
     rng = random.Random(seed)
     draw = rng.random
-    getrandbits = rng.getrandbits
     layer_sizes = _layer_sizes(layers, width)
     preds: list[tuple[int, ...]] = [()]
     first = 1  # first node of the current layer
@@ -221,7 +213,7 @@ def random_dag(
             if not chosen:
                 preds.append((rng.choice(earlier),))
             elif len(chosen) > max_indegree:
-                preds.append(_sorted_sample(getrandbits, chosen, max_indegree))
+                preds.append(_sorted_sample(rng, chosen, max_indegree))
             else:
                 preds.append(tuple(chosen))
         first += size

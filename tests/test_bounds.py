@@ -154,14 +154,38 @@ def test_search_upper_bound_takes_the_complement():
     assert bound_report(10, 3, 4).upper_bound == 13
 
 
+ROWS = [(n, k, d) for n in range(1, 25) for k in range(1, n + 1)
+        for d in range(2, 2 * min(k, n - k) + 1, 2)]
+
+
 def test_upper_bound_is_symmetric_under_complement():
-    rows = [(n, k, d) for n in range(1, 25) for k in range(1, n + 1)
-            for d in range(2, 2 * min(k, n - k) + 1, 2)]
-    assert len(rows) == 1222
-    for n, k, d in rows:
+    assert len(ROWS) == 1222
+    for n, k, d in ROWS:
         report = bound_report(n, k, d)
         assert report.entry("complement").applicable, (n, k, d)
         assert report.upper_bound == bound_report(n, n - k, d).upper_bound, (n, k, d)
+
+
+def test_complement_adds_only_johnson2():
+    # every other cap takes the same value on (n, k, d) and (n, n-k, d), so
+    # the report's minimum is the least cap over both rows
+    for n, k, d in ROWS:
+        report, dual = bound_report(n, k, d), bound_report(n, n - k, d)
+        for e in report.entries:
+            if e.name not in ("johnson2", "complement"):
+                assert e.value == dual.entry(e.name).value, (n, k, d, e.name)
+        assert report.entry("complement").value == dual.entry("johnson2").value, (n, k, d)
+        caps = [e.value for e in report.entries + dual.entries if e.applicable]
+        assert report.upper_bound == min(caps), (n, k, d)
+
+
+def test_gilbert_bound_never_exceeds_the_upper_bound():
+    for n, k, d in ROWS:
+        report = bound_report(n, k, d)
+        assert report.lower_bound <= report.upper_bound, (n, k, d)
+    # distinct k-sets always lie at distance >= 2: every k-set is a code
+    assert bound_report(7, 4, 2).lower_bound == 35
+    assert bound_report(12, 5, 8).lower_bound == 2
 
 
 def test_bound_report_trivial_distance():

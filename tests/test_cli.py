@@ -342,6 +342,13 @@ def test_simulate_usage_error(capsys):
     assert "--sample" in err
 
 
+def test_simulate_reads_the_one_code_it_is_given(tmp_path, capsys):
+    rc, _, err = run(capsys, "simulate", "--sample", "--code", str(tmp_path / "missing.json"),
+                     "--topology", '{"layers":2,"width":1}', "--trials", "1")
+    assert rc == 2
+    assert "--code" in err and "--sample" in err and err.count("\n") == 1
+
+
 def _simulate_files(tmp_path, code_doc, pool_doc):
     code, pool = tmp_path / "code.json", tmp_path / "pool.json"
     code.write_text(json.dumps(code_doc))
@@ -386,6 +393,14 @@ def test_simulate_random_substitution_over_f2(tmp_path, capsys):
 def test_simulate_pool_must_match_code(tmp_path, capsys):
     code, pool = _simulate_files(tmp_path, sample_code().to_json(), {"backend": "set", "n": 8})
     rc, _, err = run(capsys, "simulate", "--code", code, "--pool", pool,
+                     "--topology", '{"layers":2,"width":1}', "--trials", "1")
+    assert rc == 1
+    assert "pool size" in err and err.count("\n") == 1
+
+
+def test_simulate_checks_a_pool_against_the_sample_code(tmp_path, capsys):
+    _, pool = _simulate_files(tmp_path, sample_code().to_json(), {"backend": "set", "n": 8})
+    rc, _, err = run(capsys, "simulate", "--sample", "--pool", pool,
                      "--topology", '{"layers":2,"width":1}', "--trials", "1")
     assert rc == 1
     assert "pool size" in err and err.count("\n") == 1

@@ -226,7 +226,8 @@ def test_extract_code_exact_mode_has_exact_distance():
 
 def test_achieved_sizes_sit_between_bounds():
     rows = [(8, 4, 4), (8, 5, 4), (9, 4, 4), (9, 5, 4), (9, 7, 4),
-            (9, 6, 6), (10, 3, 4), (10, 7, 4), (10, 6, 6), (10, 7, 6)]
+            (9, 6, 6), (10, 3, 4), (10, 7, 4), (10, 6, 6), (10, 7, 6),
+            (11, 4, 8), (12, 5, 8)]
     for n, k, d in rows:
         report = bound_report(n, k, d)
         result = max_clique(build_graph(n, k, d), upper_bound=report.upper_bound, timeout=120)

@@ -131,7 +131,7 @@ def test_sorted_sample_consumes_the_words_of_random_sample():
             branches.add(n <= (21 if m <= 5 else 85))
             for seed in range(8):
                 ours, stdlib = random.Random(seed), random.Random(seed)
-                got = saf._sorted_sample(ours.getrandbits, chosen, m)
+                got = saf._sorted_sample(ours, chosen, m)
                 assert got == tuple(sorted(stdlib.sample(chosen, m))), (n, m, seed)
                 assert ours.random() == stdlib.random(), (n, m, seed)
     assert branches == {True, False}
