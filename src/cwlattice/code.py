@@ -95,12 +95,18 @@ def validated_indices(indices: Iterable[int], n: int) -> tuple[int, ...]:
     return indices
 
 
+# a code holds one membership bitset per ground element
+MAX_GROUND_SIZE = 1 << 16
+
+
 class ConstantWeightCode:
     """An (n, k, N, d) catalog of k-subset codewords, their membership bitsets and cached d_min."""
 
     def __init__(self, n: int, codewords: Sequence[Iterable[int]]):
         if n < 1:
             raise ValueError("ground set size must be positive")
+        if n > MAX_GROUND_SIZE:
+            raise ValueError(f"ground set size {n} is over the limit {MAX_GROUND_SIZE}")
         cws = [validated_indices(cw, n) for cw in codewords]
         if not cws:
             raise ValueError("code must contain at least one codeword")

@@ -4,21 +4,20 @@ A lattice is entered as its element labels plus a list of cover pairs
 (lower, upper).  The order is stored as Python-int bitset rows, the
 representation the clique graphs use: ``up[i]`` holds the elements
 >= i, ``down[i]`` the elements <= i and ``cover_up[i]`` the upper
-covers of i.  Construction closes the cover relation transitively,
-verifies the result is a partial order with unique top and bottom, and
-checks that every pair of elements has a unique greatest lower bound
-and least upper bound: the meet of i and j is the element whose down
-row is ``down[i] & down[j]``, the join the one whose up row is
-``up[i] & up[j]``.  Meets and joins are precomputed in two symmetric
-tables, each entry i <= j found by one dict lookup of its row and
-mirrored, O(m^2) per table.
+covers of i.  Construction closes the cover relation transitively and
+verifies the result is a partial order with unique top and bottom in
+which every pair has a greatest lower bound.  Rows are distinct, so two
+dicts from row to element are the whole meet and join: the meet of i
+and j is the element whose down row is ``down[i] & down[j]``, the join
+the one whose up row is ``up[i] & up[j]``.
 
 On top of that the module computes meet-irreducible elements (in a
 finite lattice, exactly the elements with one upper cover),
-irredundant irreducible decompositions, the upper semimodular
-("Birkhoff") covering condition, and freedom from diamond (M3)
-sublattices; together the latter two are equivalent to every element
-having a unique irredundant irreducible decomposition, which
+irredundant irreducible decompositions, upper semimodularity (checked
+as Birkhoff's condition on pairs of upper covers, its equivalent in a
+finite lattice), and freedom from diamond (M3) sublattices; together
+the latter two are equivalent to every element having a unique
+irredundant irreducible decomposition, which
 ``decomposition_theorem_report`` checks from both sides.
 
 A set S of the meet-irreducibles above x meets above x exactly when all
@@ -101,39 +100,22 @@ class FiniteLattice:
         self._irreducible = sum(1 << i for i, row in enumerate(self._cover_up) if row.bit_count() == 1)
 
         # with a top, all meets existing makes every join exist (the meet
-        # of the common upper bounds), so only the meet table can fail and
-        # _bounds names only the greatest lower bound
-        self._meet = self._bounds(down)
-        self._join = self._bounds(up)
+        # of the common upper bounds), so only meets are checked
+        self._by_down = {row: i for i, row in enumerate(down)}
+        self._by_up = {row: i for i, row in enumerate(up)}
+        for i, row in enumerate(down):
+            for j in range(i + 1, m):
+                if row & down[j] not in self._by_down:
+                    raise ValueError(
+                        f"elements {labels[i]!r}, {labels[j]!r} lack a unique "
+                        "greatest lower bound; the order is not a lattice"
+                    )
 
     def _idx(self, label: str) -> int:
         try:
             return self._index[str(label)]
         except KeyError:
             raise ValueError(f"unknown lattice element {label!r}") from None
-
-    def _bounds(self, rows: list[int]) -> list[list[int]]:
-        """The table whose entry (i, j) is the element with row rows[i] & rows[j]:
-        the meet on down rows, the join on up rows.
-
-        Rows are distinct, so one dict finds each entry; the table is
-        symmetric, so only i <= j is looked up.  Scanning those pairs row
-        by row meets the same first pair without a bound as a full scan.
-        """
-        at = {row: i for i, row in enumerate(rows)}
-        m = len(rows)
-        table = [[0] * m for _ in range(m)]
-        for i, row in enumerate(rows):
-            line = table[i]
-            for j in range(i, m):
-                bound = at.get(row & rows[j])
-                if bound is None:
-                    raise ValueError(
-                        f"elements {self.elements[i]!r}, {self.elements[j]!r} lack a unique "
-                        "greatest lower bound; the order is not a lattice"
-                    )
-                line[j] = table[j][i] = bound
-        return table
 
     # order primitives -------------------------------------------------
 
@@ -152,10 +134,10 @@ class FiniteLattice:
         return bool(self._up[self._idx(a)] >> self._idx(b) & 1)
 
     def meet(self, a: str, b: str) -> str:
-        return self.elements[self._meet[self._idx(a)][self._idx(b)]]
+        return self.elements[self._by_down[self._down[self._idx(a)] & self._down[self._idx(b)]]]
 
     def join(self, a: str, b: str) -> str:
-        return self.elements[self._join[self._idx(a)][self._idx(b)]]
+        return self.elements[self._by_up[self._up[self._idx(a)] & self._up[self._idx(b)]]]
 
     def covers(self, lower: str, upper: str) -> bool:
         return bool(self._cover_up[self._idx(lower)] >> self._idx(upper) & 1)
@@ -192,13 +174,23 @@ class FiniteLattice:
         return [frozenset(self.elements[q] for q in t) for t in members]
 
     def is_birkhoff(self) -> bool:
-        """Upper semimodularity: if a covers a meet b, then a join b covers b."""
-        m = len(self.elements)
-        cover_up = self._cover_up
-        for a in range(m):
-            for b in range(m):
-                if cover_up[self._meet[a][b]] >> a & 1 and not cover_up[b] >> self._join[a][b] & 1:
-                    return False
+        """Upper semimodularity: if a covers a meet b, then a join b covers b.
+
+        Checked as Birkhoff's condition (Birkhoff, Lattice Theory, 1967;
+        Stern, Semimodular Lattices, 1999): the join of two upper covers
+        of one element covers both.  Two covers a, b of c meet in c, so the
+        condition is needed; it suffices by induction up a maximal chain
+        a meet b = b0 < ... < bn = b: a join b_i covers b_i and differs
+        from b_(i+1) (else a <= b), so a join b_(i+1) covers b_(i+1).
+        """
+        up, cover_up, by_up = self._up, self._cover_up, self._by_up
+        for row in cover_up:
+            covers = list(_bits(row))
+            for n, a in enumerate(covers):
+                up_a, over_a = up[a], cover_up[a]
+                for b in covers[n + 1:]:
+                    if not (over_a & cover_up[b]) >> by_up[up_a & up[b]] & 1:
+                        return False
         return True
 
     def has_m3_sublattice(self, scan_limit: int | None = None) -> bool:
@@ -214,14 +206,20 @@ class FiniteLattice:
             raise SizeLimitError(
                 f"lattice has {m} elements, over the scan limit {scan_limit}"
             )
+        up, down = self._up, self._down
         full = (1 << m) - 1
-        incomparable = [full ^ (u | d) for u, d in zip(self._up, self._down)]
-        meet, join = self._meet, self._join
+        incomparable = [full ^ (u | d) for u, d in zip(up, down)]
+        # rows are distinct, so equal rows are equal meets and joins, and
+        # r can only lie between the meet and the join of p and q
         for p in range(m):
+            down_p, up_p = down[p], up[p]
             for q in _bits(incomparable[p] >> (p + 1) << (p + 1)):
-                for r in _bits(incomparable[p] & incomparable[q] >> (q + 1) << (q + 1)):
-                    if meet[p][q] == meet[p][r] == meet[q][r] and \
-                       join[p][q] == join[p][r] == join[q][r]:
+                down_q, up_q = down[q], up[q]
+                meet_pq, join_pq = down_p & down_q, up_p & up_q
+                between = up[self._by_down[meet_pq]] & down[self._by_up[join_pq]]
+                for r in _bits(incomparable[p] & incomparable[q] & between >> (q + 1) << (q + 1)):
+                    if meet_pq == down_p & down[r] == down_q & down[r] and \
+                       join_pq == up_p & up[r] == up_q & up[r]:
                         return True
         return False
 
@@ -302,7 +300,7 @@ class MultiplicationTable:
             table.append(line)
         self.lattice = lattice
         self._table = table
-        up, meet = lattice._up, lattice._meet
+        up = lattice._up
         # the elements above some power of b
         power_up = [0] * m
         for b in range(m):
@@ -313,13 +311,13 @@ class MultiplicationTable:
         # as primary are among those it refutes as prime
         not_prime = not_primary = 0
         for i in range(m):
-            line, meet_i, up_i, power_i = table[i], meet[i], up[i], power_up[i]
+            line, up_i, power_i = table[i], up[i], power_up[i]
             for j in range(i, m):
                 prod = line[j]
                 if prod != table[j][i]:
                     raise ValueError("multiplication must be commutative")
                 above = up[prod]
-                if not above >> meet_i[j] & 1:
+                if not above >> i & above >> j & 1:
                     raise ValueError(
                         f"product of {lattice.elements[i]!r} and "
                         f"{lattice.elements[j]!r} is not below their meet"

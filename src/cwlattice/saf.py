@@ -133,6 +133,11 @@ def _edge_fault(layer_of: Sequence[int], u: int, v: int) -> str | None:
     return None
 
 
+# random_dag draws one random() per candidate edge: about a second for
+# 10**7 of them under CPython 3.11
+MAX_CANDIDATE_EDGES = 10 ** 7
+
+
 def _check_topology(layers: int, width: int, max_indegree: int, edge_density: float) -> None:
     if layers < 2:
         raise ValueError("need at least source and sink layers")
@@ -140,6 +145,13 @@ def _check_topology(layers: int, width: int, max_indegree: int, edge_density: fl
         raise ValueError("width and max_indegree must be positive")
     if not 0.0 <= edge_density <= 1.0:
         raise ValueError("edge density must lie in [0, 1]")
+    # every pair of nodes in different layers is a candidate edge
+    nodes = (layers - 2) * width + 2
+    candidates = nodes * (nodes - 1) // 2 - (layers - 2) * (width * (width - 1) // 2)
+    if candidates > MAX_CANDIDATE_EDGES:
+        raise ValueError(
+            f"topology has {candidates} candidate edges, over the limit {MAX_CANDIDATE_EDGES}"
+        )
 
 
 def _layer_sizes(layers: int, width: int) -> tuple[int, ...]:
@@ -193,7 +205,8 @@ def random_dag(
     each non-source node is repaired to in-degree between 1 and
     ``max_indegree``.  Candidates are scanned in ascending order and a
     repair sample is sorted, so each node's predecessor tuple is built
-    sorted as it is drawn.
+    sorted as it is drawn.  A layout of more than ``MAX_CANDIDATE_EDGES``
+    candidates is refused before the first draw.
 
     Stream contract: one ``random.Random(seed)`` per DAG, one ``random()``
     per candidate edge, ``choice`` for a node that drew no edge, and a

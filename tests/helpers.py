@@ -133,6 +133,29 @@ def decompositions_oracle(lat: FiniteLattice, x: str) -> list[frozenset[str]]:
     return [h for h in hits if not any(other < h for other in hits)]
 
 
+def semimodular_oracle(lat: FiniteLattice) -> bool:
+    """Upper semimodularity over all pairs: if a covers a meet b, then a
+    join b covers b."""
+    return all(
+        lat.covers(b, lat.join(a, b))
+        for a in lat.elements
+        for b in lat.elements
+        if lat.covers(lat.meet(a, b), a)
+    )
+
+
+def m3_oracle(lat: FiniteLattice) -> bool:
+    """Some pairwise incomparable triple has one common pairwise meet and
+    one common pairwise join, so it generates a diamond sublattice."""
+    for p, q, r in itertools.combinations(lat.elements, 3):
+        if any(lat.leq(x, y) or lat.leq(y, x) for x, y in ((p, q), (p, r), (q, r))):
+            continue
+        if lat.meet(p, q) == lat.meet(p, r) == lat.meet(q, r) and \
+           lat.join(p, q) == lat.join(p, r) == lat.join(q, r):
+            return True
+    return False
+
+
 def prime_oracle(lat: FiniteLattice, table, p: str) -> bool:
     """p >= ab implies p >= a or p >= b, for all a, b."""
     return all(

@@ -86,6 +86,8 @@ def load(kind: str, text: str, directory):
         ("code", {"n": 7, "codewords": []}, "at least one codeword"),
         ("code", {"n": 7, "d": 4, "codewords": [[0, 1, 2, 3]]},
          "claims d=4 but a single codeword has no minimum distance"),
+        ("code", {"n": 10 ** 8, "codewords": [[0, 1], [2, 3]]},
+         "ground set size 100000000 is over the limit 65536"),
         ("lattice", {"elements": ["0", "1"], "covers": [["0", "2"]]}, "'2'"),
         ("lattice", {"elements": ["0", "1", "2"], "covers": [["0", "1"], ["1", "zz"]]},
          "covers[1]: unknown lattice element 'zz'"),
@@ -106,19 +108,21 @@ def load(kind: str, text: str, directory):
         ("adversary", {"type": "random_substitution"}, "missing field 'prob'"),
         ("topology", {"layers": 3, "width": 0}, "width"),
         ("topology", {"layers": 3, "width": 2, "density": 1.5}, "density"),
+        ("topology", {"layers": 3, "width": 10 ** 8},
+         "topology has 200000001 candidate edges, over the limit 10000000"),
     ],
     ids=[
         "pool-empty", "pool-constituent-item", "pool-field-of-other-backend",
         "pool-coefficient-range", "pool-constituent-hex", "pool-constant-constituent",
         "pool-duplicate-constituent",
         "code-codeword-item", "code-unknown-key", "code-wrong-k", "code-no-codewords",
-        "code-single-codeword-d",
+        "code-single-codeword-d", "code-huge-ground-set",
         "lattice-cover-unknown", "lattice-cover-field", "lattice-mult-unknown",
         "lattice-mult-field", "lattice-mult-size",
         "lattice-int-labels",
         "erasure-edge-item", "rule-short-edge", "rule-not-object", "adversary-str-seed",
         "rule-str-symbol", "adversary-no-type", "substitution-no-prob",
-        "topology-zero-width", "topology-density-range",
+        "topology-zero-width", "topology-density-range", "topology-too-many-edges",
     ],
 )
 def test_malformed_input_is_one_line_exit_2(tmp_path, kind, document, expected):

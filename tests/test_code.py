@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cwlattice.code import (
+    MAX_GROUND_SIZE,
     ConstantWeightCode,
     decode,
     guaranteed_correctable,
@@ -54,6 +55,8 @@ def test_code_validation():
         ConstantWeightCode(5, [()])
     with pytest.raises(ValueError, match="ground set size must be positive"):
         ConstantWeightCode(0, [(0,)])
+    with pytest.raises(ValueError, match="ground set size 65537 is over the limit 65536"):
+        ConstantWeightCode(MAX_GROUND_SIZE + 1, [(0,)])
 
 
 def test_min_distance_sample(code744):

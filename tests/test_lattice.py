@@ -20,9 +20,11 @@ from helpers import (
     decompositions_oracle,
     glb_oracle,
     lub_oracle,
+    m3_oracle,
     primary_oracle,
     prime_oracle,
     random_multiplication_rows,
+    semimodular_oracle,
 )
 
 NAMED = {}
@@ -191,17 +193,28 @@ def test_wide_diamond_bottom_decomposes_into_every_pair_of_atoms():
         assert not report.unique_decomposition and report.agree
 
 
+def oracle_corpus() -> list[FiniteLattice]:
+    return [*named_lattices().values(), *(wide_diamond(c) for c in range(1, 9)),
+            subspaces_gf2_3(), partitions_4()]
+
+
 def test_birkhoff():
     assert boolean_lattice(3).is_birkhoff()
     assert diamond_m3().is_birkhoff()
     assert not pentagon_n5().is_birkhoff()
     assert chain(4).is_birkhoff()
+    assert subspaces_gf2_3().is_birkhoff() and partitions_4().is_birkhoff()
+    for lat in oracle_corpus():
+        assert lat.is_birkhoff() == semimodular_oracle(lat), lat.to_json()
 
 
 def test_m3_freedom():
     assert not boolean_lattice(3).has_m3_sublattice()
     assert diamond_m3().has_m3_sublattice()
     assert not pentagon_n5().has_m3_sublattice()
+    assert subspaces_gf2_3().has_m3_sublattice() and partitions_4().has_m3_sublattice()
+    for lat in oracle_corpus():
+        assert lat.has_m3_sublattice() == m3_oracle(lat), lat.to_json()
 
 
 def test_m3_scan_size_limit():
@@ -219,16 +232,16 @@ def test_theorem_on_named_lattices():
     assert not pentagon_n5().decomposition_theorem_report().structural
 
 
-def test_theorem_on_all_lattices_up_to_six_elements():
+def test_theorem_on_all_lattices_up_to_eight_elements():
     total = 0
-    shapes = set()
-    for m in range(1, 7):
+    for m in range(1, 9):
         for lat in all_lattices(m):
             report = lat.decomposition_theorem_report()
             assert report.agree, lat.to_json()
+            assert report.birkhoff == semimodular_oracle(lat), lat.to_json()
+            assert report.m3_free != m3_oracle(lat), lat.to_json()
             total += 1
-            shapes.add((m, len(lat.meet_irreducibles()), report.structural))
-    assert total > 50  # the scan actually produced a corpus
+    assert total == 4008  # every labelled lattice of at most 8 elements
 
 
 def test_multiplication_table_validation():
@@ -246,6 +259,15 @@ def test_multiplication_table_validation():
         MultiplicationTable(m3, bad2)
     with pytest.raises(ValueError, match="5x5"):
         MultiplicationTable(m3, [["0"]])
+
+
+def test_multiplication_table_rejects_a_product_below_one_factor_only():
+    m3 = diamond_m3()
+    for below in ("x", "y"):
+        rows = [[m3.meet(a, b) for b in m3.elements] for a in m3.elements]
+        rows[1][2] = rows[2][1] = below
+        with pytest.raises(ValueError, match="'x' and 'y' is not below their meet"):
+            MultiplicationTable(m3, rows)
 
 
 def test_meet_multiplication_makes_chain_elements_prime():

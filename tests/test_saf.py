@@ -61,6 +61,20 @@ def test_random_dag_validation():
         random_dag(layers=3, width=1, max_indegree=1, edge_density=1.5)
 
 
+def test_candidate_edge_limit_is_checked_before_any_draw():
+    # every pair of nodes in different layers is a candidate: 1 + 2w with
+    # three layers, 1 + 4w + w^2 with four
+    for layers, width, count in ((3, 4_999_999, 9_999_999), (3, 5_000_000, 10_000_001),
+                                 (4, 3160, 9_998_241), (4, 3161, 10_004_566)):
+        sizes = saf._layer_sizes(layers, width)
+        assert count == sum(size * sum(sizes[:i]) for i, size in enumerate(sizes))
+        if count <= saf.MAX_CANDIDATE_EDGES:
+            TopologySpec(layers, width, 1)
+        else:
+            with pytest.raises(ValueError, match=f"topology has {count} candidate edges"):
+                random_dag(layers, width, 1)
+
+
 def test_topology_validation():
     with pytest.raises(ValueError, match="later layer"):
         NetworkTopology(layer_sizes=(1, 1), edges=((1, 0),), max_indegree=1)
