@@ -23,7 +23,14 @@ from dataclasses import dataclass, field
 from math import comb
 
 
+# every value a report holds is at most C(n, k) <= C(n, n // 2), which has
+# 4213 digits at n = 14000: under the 4300 digits CPython converts to a string
+MAX_N = 14000
+
+
 def validate_params(n: int, k: int, d: int) -> None:
+    if n > MAX_N:
+        raise ValueError(f"n={n} is over the limit {MAX_N}")
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if d % 2 or not 2 <= d <= 2 * min(k, n - k):

@@ -49,11 +49,20 @@ class SizeLimitError(ValueError):
     """The lattice exceeds the configured scan bound."""
 
 
+# the closure, cover scan and pair check grow about as m^3 bit operations:
+# a 1024-element chain builds in under a second under CPython 3.11
+MAX_LATTICE_ELEMENTS = 1024
+
+
 class FiniteLattice:
     def __init__(self, elements: Sequence[str], covers: Iterable[tuple[str, str]]):
         labels = [str(e) for e in elements]
         if not labels:
             raise ValueError("lattice needs at least one element")
+        if len(labels) > MAX_LATTICE_ELEMENTS:
+            raise ValueError(
+                f"lattice has {len(labels)} elements, over the limit {MAX_LATTICE_ELEMENTS}"
+            )
         if len(set(labels)) != len(labels):
             raise ValueError("element labels must be distinct")
         self.elements = tuple(labels)

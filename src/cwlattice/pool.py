@@ -46,8 +46,14 @@ class NotSquarefreeError(ValueError):
     """Some constituent divides the element more than once."""
 
 
+# the Ben-Or irreducibility test grows about cubically in the degree: over
+# GF(2), X^1000 + X + 1 takes about two seconds under CPython 3.11
+MAX_POOL_DEGREE = 1024
+
+
 class PolynomialPool:
-    """Constituents are monic irreducible polynomials over one prime field."""
+    """Constituents are monic irreducible polynomials over one prime field,
+    of degrees summing to at most ``MAX_POOL_DEGREE``."""
 
     backend = "poly"
 
@@ -57,6 +63,7 @@ class PolynomialPool:
             raise ValueError("pool needs at least one constituent")
         field = constituents[0].field
         seen: dict[Polynomial, int] = {}
+        total = 0
         for i, f in enumerate(constituents):
             if f.field != field:
                 raise ValueError(f"constituents[{i}]: all constituents must share one field, "
@@ -66,6 +73,10 @@ class PolynomialPool:
             if f.degree < 1:
                 raise ValueError(f"constituents[{i}]: constituent {f!r} is constant, "
                                  "not irreducible")
+            total += f.degree
+            if total > MAX_POOL_DEGREE:
+                raise ValueError(f"constituents[{i}]: constituent degrees sum to {total}, "
+                                 f"over the limit {MAX_POOL_DEGREE}")
             if not is_irreducible(f):
                 raise ValueError(f"constituents[{i}]: constituent {f!r} is reducible")
             first = seen.setdefault(f, i)

@@ -56,22 +56,24 @@ Edge = tuple[int, int]
 Packet = tuple[int, ...]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class NetworkTopology:
     """Layered DAG with node 0 the source and the last node the sink.
 
     ``preds[v]`` is the sorted tuple of v's predecessors, the topology's
     one adjacency; a trial walks these tuples by node index, and
-    ``edges`` and ``in_edges`` are read off them.  The constructor takes
-    an edge list and checks it; ``random_dag`` builds ``preds`` as it
-    draws and skips those checks.
+    ``edges`` and ``in_edges`` are read off them.  ``random_dag`` builds
+    the tuples sorted as it draws; a hand-built topology comes from a
+    checked edge list through ``from_edges``.
     """
 
     layer_sizes: tuple[int, ...]
     preds: tuple[tuple[int, ...], ...]
-    max_indegree: int
 
-    def __init__(self, layer_sizes: tuple[int, ...], edges: Iterable[Edge], max_indegree: int):
+    @classmethod
+    def from_edges(cls, layer_sizes: Sequence[int], edges: Iterable[Edge]) -> "NetworkTopology":
+        """The topology of distinct edges that each run to a later layer and
+        leave no node but the source without a predecessor."""
         edges = tuple(edges)
         if len(set(edges)) != len(edges):
             raise ValueError("edges must be distinct")
@@ -83,32 +85,9 @@ class NetworkTopology:
                 raise ValueError(fault)
             preds[v].append(u)
         for v in range(1, len(preds)):
-            indeg = len(preds[v])
-            if not 1 <= indeg <= max_indegree:
-                raise ValueError(f"node {v} has in-degree {indeg}, need 1..{max_indegree}")
-        self._fill(tuple(layer_sizes), tuple(tuple(sorted(p)) for p in preds), max_indegree)
-
-    @classmethod
-    def _from_preds(
-        cls, layer_sizes: tuple[int, ...], preds: tuple[tuple[int, ...], ...], max_indegree: int
-    ) -> "NetworkTopology":
-        """A topology whose sorted predecessor tuples the caller vouches for."""
-        topology = cls.__new__(cls)
-        topology._fill(layer_sizes, preds, max_indegree)
-        return topology
-
-    def _fill(self, layer_sizes, preds, max_indegree) -> None:
-        object.__setattr__(self, "layer_sizes", layer_sizes)
-        object.__setattr__(self, "preds", preds)
-        object.__setattr__(self, "max_indegree", max_indegree)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.preds)
-
-    @property
-    def source(self) -> int:
-        return 0
+            if not preds[v]:
+                raise ValueError(f"node {v} has in-degree 0, need at least 1")
+        return cls(tuple(layer_sizes), tuple(tuple(sorted(p)) for p in preds))
 
     @property
     def sink(self) -> int:
@@ -120,7 +99,11 @@ class NetworkTopology:
         return tuple(sorted((u, v) for v, pred in enumerate(self.preds) for u in pred))
 
     def in_edges(self, v: int) -> tuple[Edge, ...]:
-        """The edges into node v, sorted."""
+        """The edges into node v, sorted.
+
+        Trials read ``preds`` directly; this stays because the benchmark's
+        tracer (``bench/tracing.py``) wraps it, until ROADMAP item 8.
+        """
         return tuple((u, v) for u in self.preds[v])
 
 
@@ -230,7 +213,7 @@ def random_dag(
             else:
                 preds.append(tuple(chosen))
         first += size
-    return NetworkTopology._from_preds(layer_sizes, tuple(preds), max_indegree)
+    return NetworkTopology(layer_sizes, tuple(preds))
 
 
 @dataclass(frozen=True)
@@ -404,7 +387,9 @@ def apply_adversary(
 ) -> dict[Edge, Packet]:
     """Corrupt the packets in flight in edge order; erased edges vanish from the dict.
 
-    The batch form of what ``run_trial`` does edge by edge.
+    The batch form of what ``run_trial`` does edge by edge.  Trials do
+    not call it; it stays because the benchmark's tracer
+    (``bench/tracing.py``) wraps it, until ROADMAP item 8.
     """
     out: dict[Edge, Packet] = {}
     for edge in sorted(flight):
@@ -433,8 +418,8 @@ def check_adversary(model: Adversary, layer_sizes: Sequence[int], q: int) -> Non
 
     Random substitution that may act needs q >= 3.  A rule's old and new
     symbols must be nonzero elements of F_q, and every edge must pass the
-    check a hand-built topology's edges get (``_edge_fault``): it names
-    nodes of the topology and runs to a later layer.  A model with no
+    check ``NetworkTopology.from_edges`` gives its edges (``_edge_fault``):
+    it names nodes of the topology and runs to a later layer.  A model with no
     rules and no edges returns at once; otherwise the cost is
     O(nodes + rules + edges).
     """
@@ -500,8 +485,8 @@ def run_trial(
     sink = topology.sink
 
     # what each node forwards; None for a silent node
-    emitted: list[Packet | None] = [None] * topology.node_count
-    emitted[topology.source] = source_encode(transmitted, symbol_map)
+    emitted: list[Packet | None] = [None] * len(preds)
+    emitted[0] = source_encode(transmitted, symbol_map)
     packets: list[Packet] = []
     intact = False
     # the last node is the sink, so the loop ends holding what reached it;

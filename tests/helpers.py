@@ -361,9 +361,9 @@ def reference_trial(topology, code, symbol_map, adversary, message_index, trial_
     transmitted = code.codewords[message_index]
     k = code.k
     rng = saf._adversary_rng(adversary, trial_seed)
-    emitted = {topology.source: saf.source_encode(transmitted, symbol_map)}
+    emitted = {0: saf.source_encode(transmitted, symbol_map)}
     packets = []
-    for v in range(1, topology.node_count):
+    for v in range(1, len(topology.preds)):
         flight = {(u, w): emitted[u] for (u, w) in topology.edges if w == v and u in emitted}
         packets = list(saf.apply_adversary(flight, adversary, symbol_map.q, rng).values())
         if packets and v != topology.sink:

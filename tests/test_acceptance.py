@@ -154,7 +154,7 @@ def test_criterion_7_saf_end_to_end(code744, pool744):
         )
         assert stats.counts.get(saf.Outcome.SUCCESS, 0) == 1000
 
-        direct = saf.NetworkTopology(layer_sizes=(1, 1), edges=((0, 1),), max_indegree=1)
+        direct = saf.NetworkTopology.from_edges((1, 1), ((0, 1),))
         # exhaustive single-erasure injections: replace one symbol by
         # another symbol of the same packet, which dedups away at the sink
         for message, cw in enumerate(code744.codewords):

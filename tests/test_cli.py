@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -40,6 +41,21 @@ def test_bounds_domain_error(capsys):
     rc, _, err = run(capsys, "bounds", "--n", "7", "--k", "4", "--d", "3")
     assert rc == 1
     assert "error" in err
+
+
+def test_bounds_prints_every_value_up_to_the_n_limit(capsys):
+    # C(14000, 7000), the subset cap, is the report's largest value: 4213 digits
+    argv = ("bounds", "--n", "14000", "--k", "7000", "--d", "4")
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0 and f"subset_cap             {comb(14000, 7000)}" in out
+    rc, out, _ = run(capsys, *argv, "--json")
+    assert rc == 0
+    assert json.loads(out)["bounds"][0] == {
+        "name": "subset_cap", "value": comb(14000, 7000), "applicable": True,
+        "reason": "number of k-subsets",
+    }
+    rc, out, err = run(capsys, "bounds", "--n", "14001", "--k", "7000", "--d", "4")
+    assert (rc, out, err) == (1, "", "error: n=14001 is over the limit 14000\n")
 
 
 def test_pool_sample_compose_decompose(capsys):

@@ -16,6 +16,8 @@ from cwlattice.data import sample_code, sample_pool
 from cwlattice.lattice import irreducible_not_primary_example
 
 TOPOLOGY = '{"layers":3,"width":2}'
+# the atoms of M_1023, a lattice of 1025 elements
+ATOMS = [f"a{i}" for i in range(1023)]
 
 
 def lattice_document() -> dict:
@@ -80,6 +82,8 @@ def load(kind: str, text: str, directory):
          "constituents[1]: constituent Poly(1 over GF(2)) is constant"),
         ("pool", {"backend": "poly", "p": 2, "constituents": ["7", "3", "7"]},
          "constituents[2]: repeats constituents[0]"),
+        ("pool", {"backend": "poly", "p": 2, "constituents": ["3", format(1 << 1024 | 3, "x")]},
+         "constituents[1]: constituent degrees sum to 1025, over the limit 1024"),
         ("code", {"n": 7, "codewords": [[0, "1"]]}, "'codewords'"),
         ("code", {"n": 7, "codewords": [[0, 1, 2, 3]], "extra": 1}, "unknown field 'extra'"),
         ("code", {"n": 7, "k": 5, "codewords": [[0, 1, 2, 3], [0, 1, 4, 5]]}, "claims k=5"),
@@ -97,6 +101,9 @@ def load(kind: str, text: str, directory):
                      "mult": [["0", "0"], ["0", "zz"]]}, "mult[1][1]: unknown lattice element 'zz'"),
         ("lattice", {"elements": ["0", "1"], "covers": [["0", "1"]], "mult": [["0"]]}, "2x2"),
         ("lattice", {"elements": [0, 1], "covers": []}, "'elements'"),
+        ("lattice", {"elements": ["0", *ATOMS, "1"],
+                     "covers": [["0", a] for a in ATOMS] + [[a, "1"] for a in ATOMS]},
+         "lattice has 1025 elements, over the limit 1024"),
         ("adversary", {"type": "edge_erasure", "edges": [[0, "x"]]}, "'edges'"),
         ("adversary", {"type": "targeted_substitution",
                        "rules": [{"edge": [0], "old": 1, "new": 2}]}, "'rules'"),
@@ -114,12 +121,12 @@ def load(kind: str, text: str, directory):
     ids=[
         "pool-empty", "pool-constituent-item", "pool-field-of-other-backend",
         "pool-coefficient-range", "pool-constituent-hex", "pool-constant-constituent",
-        "pool-duplicate-constituent",
+        "pool-duplicate-constituent", "pool-degree-sum",
         "code-codeword-item", "code-unknown-key", "code-wrong-k", "code-no-codewords",
         "code-single-codeword-d", "code-huge-ground-set",
         "lattice-cover-unknown", "lattice-cover-field", "lattice-mult-unknown",
         "lattice-mult-field", "lattice-mult-size",
-        "lattice-int-labels",
+        "lattice-int-labels", "lattice-too-many-elements",
         "erasure-edge-item", "rule-short-edge", "rule-not-object", "adversary-str-seed",
         "rule-str-symbol", "adversary-no-type", "substitution-no-prob",
         "topology-zero-width", "topology-density-range", "topology-too-many-edges",

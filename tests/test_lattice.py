@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cwlattice.lattice import (
+    MAX_LATTICE_ELEMENTS,
     FiniteLattice,
     MultiplicationTable,
     SizeLimitError,
@@ -140,6 +141,14 @@ def wide_diamond(c: int) -> FiniteLattice:
     """M_c: c atoms between a bottom and a top."""
     atoms = [f"a{i}" for i in range(c)]
     return FiniteLattice(["0", *atoms, "1"], [("0", a) for a in atoms] + [(a, "1") for a in atoms])
+
+
+def test_element_limit():
+    # M_c has c + 2 elements and is the cheapest lattice of its size to build
+    lat = wide_diamond(MAX_LATTICE_ELEMENTS - 2)
+    assert len(lat) == 1024 and lat.meet("a0", "a1") == "0" and lat.join("a0", "a1") == "1"
+    with pytest.raises(ValueError, match="^lattice has 1025 elements, over the limit 1024$"):
+        wide_diamond(MAX_LATTICE_ELEMENTS - 1)
 
 
 def product(first: FiniteLattice, second: FiniteLattice) -> FiniteLattice:

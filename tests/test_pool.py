@@ -6,6 +6,7 @@ import pytest
 
 from cwlattice.gf import Polynomial, PrimeField, is_irreducible, monic_polynomials
 from cwlattice.pool import (
+    MAX_POOL_DEGREE,
     NotDecomposableError,
     NotSquarefreeError,
     PolynomialPool,
@@ -63,6 +64,20 @@ def test_pool_validation_rejects_mixed_fields(f2):
     f3 = PrimeField(3)
     with pytest.raises(ValueError, match="one field"):
         PolynomialPool([Polynomial(f2, (1, 1)), Polynomial(f3, (1, 1))])
+
+
+def test_pool_degree_limit_is_checked_before_irreducibility(f2):
+    # 1024 linear constituents reach the limit; one more passes it
+    f1031 = PrimeField(1031)
+    linear = [Polynomial(f1031, (a, 1)) for a in range(1025)]
+    assert PolynomialPool(linear[:MAX_POOL_DEGREE]).n == 1024
+    with pytest.raises(ValueError, match=r"^constituents\[1024\]: constituent degrees sum "
+                                         r"to 1025, over the limit 1024$"):
+        PolynomialPool(linear)
+    # refused before its Ben-Or test, which runs for seconds at this degree
+    big = Polynomial(f2, (1, 1) + (0,) * 1022 + (1,))
+    with pytest.raises(ValueError, match=r"^constituents\[1\]: constituent degrees sum to 1025"):
+        PolynomialPool([Polynomial(f2, (1, 1)), big])
 
 
 def test_compose_singleton(pool744):

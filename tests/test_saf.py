@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -26,13 +27,13 @@ from cwlattice.saf import (
 )
 from helpers import random_dag_oracle, random_substitution_oracle, reference_trial
 
-DIRECT = NetworkTopology(layer_sizes=(1, 1), edges=((0, 1),), max_indegree=1)
+DIRECT = NetworkTopology.from_edges((1, 1), ((0, 1),))
 
 
 def test_random_dag_trivial():
     topo = random_dag(layers=2, width=1, max_indegree=1, seed=5)
     assert topo.edges == ((0, 1),)
-    assert topo.source == 0 and topo.sink == 1
+    assert topo.preds == ((), (0,)) and topo.sink == 1
 
 
 def test_random_dag_deterministic():
@@ -48,7 +49,7 @@ def test_random_dag_degree_bounds():
     indeg = {}
     for u, v in topo.edges:
         indeg[v] = indeg.get(v, 0) + 1
-    for v in range(1, topo.node_count):
+    for v in range(1, len(topo.preds)):
         assert 1 <= indeg.get(v, 0) <= 2
 
 
@@ -77,18 +78,26 @@ def test_candidate_edge_limit_is_checked_before_any_draw():
 
 def test_topology_validation():
     with pytest.raises(ValueError, match="later layer"):
-        NetworkTopology(layer_sizes=(1, 1), edges=((1, 0),), max_indegree=1)
-    with pytest.raises(ValueError, match="in-degree"):
-        NetworkTopology(layer_sizes=(1, 2, 1), edges=((0, 1), (0, 2)), max_indegree=2)
+        NetworkTopology.from_edges((1, 1), ((1, 0),))
+    with pytest.raises(ValueError, match="^node 3 has in-degree 0, need at least 1$"):
+        NetworkTopology.from_edges((1, 2, 1), ((0, 1), (0, 2)))
     with pytest.raises(ValueError, match="distinct"):
-        NetworkTopology(layer_sizes=(1, 1), edges=((0, 1), (0, 1)), max_indegree=2)
+        NetworkTopology.from_edges((1, 1), ((0, 1), (0, 1)))
     for edge in ((0, 5), (-1, 1)):
         with pytest.raises(ValueError, match="outside 0..1"):
-            NetworkTopology(layer_sizes=(1, 1), edges=(edge,), max_indegree=2)
+            NetworkTopology.from_edges((1, 1), (edge,))
+
+
+def test_topology_is_its_layer_sizes_and_preds():
+    topo = random_dag(layers=4, width=3, max_indegree=2, seed=42)
+    assert [f.name for f in dataclasses.fields(NetworkTopology)] == ["layer_sizes", "preds"]
+    assert NetworkTopology(topo.layer_sizes, topo.preds) == topo
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        topo.preds = ()
 
 
 def _preds_oracle(topo):
-    return [tuple(sorted(u for u, w in topo.edges if w == v)) for v in range(topo.node_count)]
+    return [tuple(sorted(u for u, w in topo.edges if w == v)) for v in range(len(topo.preds))]
 
 
 def test_preds_are_sorted_predecessors():
@@ -97,11 +106,9 @@ def test_preds_are_sorted_predecessors():
                           edge_density=(seed % 7) / 6, seed=seed)
         assert list(topo.preds) == _preds_oracle(topo)
         assert all(topo.in_edges(v) == tuple((u, v) for u in topo.preds[v])
-                   for v in range(topo.node_count))
+                   for v in range(len(topo.preds)))
     # edges given out of order
-    topo = NetworkTopology(
-        layer_sizes=(1, 2, 1), edges=((2, 3), (0, 2), (1, 3), (0, 1)), max_indegree=2
-    )
+    topo = NetworkTopology.from_edges((1, 2, 1), ((2, 3), (0, 2), (1, 3), (0, 1)))
     assert topo.preds == ((), (0,), (0,), (1, 2))
     assert list(topo.preds) == _preds_oracle(topo)
     assert topo.in_edges(3) == ((1, 3), (2, 3))
@@ -123,13 +130,12 @@ def test_random_dag_matches_the_checking_constructor():
     for layers, width, indegree, density in TRUSTED_SHAPES:
         for _ in range(3):
             topo = random_dag(layers, width, indegree, density, seed=rng.randrange(2 ** 32))
-            checked = NetworkTopology(
-                layer_sizes=topo.layer_sizes, edges=topo.edges, max_indegree=topo.max_indegree
-            )
+            checked = NetworkTopology.from_edges(topo.layer_sizes, topo.edges)
             assert checked == topo
+            assert all(1 <= len(pred) <= indegree for pred in topo.preds[1:])
             assert checked.preds == topo.preds
             assert checked.edges == topo.edges == tuple(sorted(topo.edges))
-            assert all(checked.in_edges(v) == topo.in_edges(v) for v in range(topo.node_count))
+            assert all(checked.in_edges(v) == topo.in_edges(v) for v in range(len(topo.preds)))
             shapes += 1
     assert shapes >= 300
 
@@ -288,7 +294,7 @@ def test_check_adversary_names_the_bad_rule(model, message):
 def test_topology_and_adversary_reject_an_edge_alike(edge):
     layers = (1, 3, 3, 1)
     with pytest.raises(ValueError) as topology_error:
-        NetworkTopology(layer_sizes=layers, edges=(edge,), max_indegree=3)
+        NetworkTopology.from_edges(layers, (edge,))
     with pytest.raises(ValueError) as adversary_error:
         check_adversary(EdgeErasure(edges=(edge,)), layers, 11)
     assert str(adversary_error.value) == f"edges[0]: {topology_error.value}"
@@ -309,11 +315,7 @@ def test_check_adversary_accepts_what_a_run_can_use(code744, pool744):
 
 def test_erasure_leaves_disjoint_path_intact(code744):
     # two parallel source->middle->sink paths; erase one of them
-    topo = NetworkTopology(
-        layer_sizes=(1, 2, 1),
-        edges=((0, 1), (0, 2), (1, 3), (2, 3)),
-        max_indegree=2,
-    )
+    topo = NetworkTopology.from_edges((1, 2, 1), ((0, 1), (0, 2), (1, 3), (2, 3)))
     smap = SymbolMap.default(7)
     adversary = EdgeErasure(edges=((0, 1), (1, 3)))
     result = run_trial(topo, code744, smap, adversary, message_index=2)
