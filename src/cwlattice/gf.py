@@ -9,7 +9,8 @@ The constructor applies the one reduction rule, ``_reduced``: it takes
 any integers, reduces each mod p and strips trailing zeros.  The
 operators therefore compute on plain integers and hand their unreduced
 coefficient lists to it; only long division reduces each quotient
-digit itself, so that a zero digit is skipped.
+digit itself, so that a zero digit is skipped.  A caller whose tuple
+already keeps the rule builds through ``_from_reduced`` instead.
 
 Multiplication and division run on one packed form (Kronecker
 substitution): coefficient i sits in bits [i*w, (i+1)*w) of one Python
@@ -20,7 +21,9 @@ below 2**w for w = bit_length((p-1) + terms*(p-1)**2).  Long division
 adds (p - c)*b*X^shift instead of subtracting c*b*X^shift: slots only
 grow, so no borrow ever crosses a slot boundary.  ``_mod_slots`` reduces
 every slot of a packed value mod p at once, by one multiplication with
-a fixed-point inverse of p, in slots wide enough that it is exact.
+a fixed-point inverse of p, in slots of x < 2**w that are at least
+2w + bitlen(p) bits wide, so that it is exact; a wider stride, such as
+a machine word, works as well.
 Slots of 8, 16, 32 or 64 bits are machine words: ``_unpack`` reads all
 of them with one little-endian ``struct.unpack`` of the value's bytes
 instead of one shift per slot.
@@ -154,17 +157,19 @@ def _unpack(value: int, slots: int, w: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=64)
-def _slot_quotient_constants(slots: int, w: int, p: int) -> tuple[int, int, int]:
+def _slot_quotient_constants(slots: int, w: int, p: int, stride: int) -> tuple[int, int, int]:
     """(s, m, low) for ``_mod_slots``: low has the bits [0, w) of each slot set."""
     s = w + p.bit_length()
-    return s, -(-(1 << s) // p), _pack([(1 << w) - 1] * slots, w + s)
+    return s, -(-(1 << s) // p), _pack([(1 << w) - 1] * slots, stride)
 
 
-def _mod_slots(value: int, slots: int, w: int, p: int) -> int:
+def _mod_slots(value: int, slots: int, w: int, p: int, stride: int = 0) -> int:
     """Every slot of a packed value reduced mod p, all slots at once.
 
-    Slots are w + s bits wide, s = w + bitlen(p), and each holds some
-    x < 2**w; the result has the same layout.  With m = ceil(2**s / p),
+    Slots are ``stride`` bits wide, at least w + s for s = w + bitlen(p)
+    and by default exactly that, and each holds some x < 2**w; the result
+    has the same layout.  Slots above the value read as zero, so ``slots``
+    may overcount.  With m = ceil(2**s / p),
     floor(x*m / 2**s) is floor(x / p) exactly: write p*m = 2**s + e with
     0 <= e < p, so x*m / 2**s = x/p + x*e / (p * 2**s), and the error
     term is below 2**w / 2**s = 2**-bitlen(p) < 1/p.  For x = q*p + r
@@ -174,7 +179,7 @@ def _mod_slots(value: int, slots: int, w: int, p: int) -> int:
     w bits of each slot reads off every quotient, and subtracting p
     times them leaves every remainder without a borrow.
     """
-    s, m, low = _slot_quotient_constants(slots, w, p)
+    s, m, low = _slot_quotient_constants(slots, w, p, stride or 2 * w + p.bit_length())
     return value - p * (value * m >> s & low)
 
 
@@ -225,6 +230,15 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @classmethod
+    def _from_reduced(cls, field: PrimeField, coeffs: tuple[int, ...]) -> "Polynomial":
+        """The constructor for a tuple that already keeps the reduction
+        rule: every entry in 0..p-1 and the last one nonzero."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "field", field)
+        object.__setattr__(poly, "coeffs", coeffs)
+        return poly
 
     @classmethod
     def zero(cls, field: PrimeField) -> "Polynomial":

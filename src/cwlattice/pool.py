@@ -9,20 +9,22 @@ distinct.
 
 Two backends are provided.  PolynomialPool holds monic irreducible
 polynomials over one prime field and composes by multiplying the
-generators in one product of packed ints, in slots rounded up to 8,
-16, 32 or 64 bits where the product's coefficient bound allows, so
-that one ``struct.unpack`` reads them all.  It decomposes in one
-residue pass: row j, cached, packs X^j mod every constituent side by
-side, so the sum of the element's coefficients times the rows packs
-its remainder mod every constituent, and a constituent divides the
-element when its block of slots reduces to zero mod p.  SubsetPool is
-the purely combinatorial backend where elements are the index sets
-themselves.
+generators in one product of packed ints.  The slots are wide enough
+for one ``_mod_slots`` to reduce every coefficient mod p at once, by a
+bound read from a table built with the pool, one entry per subset size,
+and rounded up to 8, 16, 32 or 64 bits where that bound allows, so that
+one ``struct.unpack`` reads them all; the reduced tuple is the
+polynomial as it stands.  It decomposes in one residue pass: row j,
+cached, packs X^j mod every constituent side by side, so the sum of the
+element's coefficients times the rows packs its remainder mod every
+constituent, and a constituent divides the element when its block of
+slots reduces to zero mod p.  SubsetPool is the purely combinatorial
+backend where elements are the index sets themselves.
 """
 
 from __future__ import annotations
 
-import math
+from itertools import compress
 from typing import Iterable, Sequence
 
 from cwlattice.code import validated_indices
@@ -32,6 +34,7 @@ from cwlattice.gf import (
     PrimeField,
     _mod_slots,
     _pack,
+    _slot_quotient_constants,
     _slot_width,
     _unpack,
     is_irreducible,
@@ -85,15 +88,31 @@ class PolynomialPool:
                                  "constituents must be pairwise distinct")
         self.field = field
         self.constituents = constituents
-        # slot width -> the constituents packed at that width
+        # slot stride -> the constituents packed at that stride
         self._packed: dict[int, tuple[int, ...]] = {}
         self._degrees = tuple(f.degree for f in constituents)
-        self._lengths = tuple(d + 1 for d in self._degrees)
         self._total = sum(self._degrees)
+        # r -> (stride, w, slots) of compose for r-subsets.  A product's
+        # coefficients are at most the product of its factors' coefficient
+        # sums, each at most (degree + 1) * (p - 1), so the r longest
+        # constituents bound every r-subset by some x < 2**w, and the r
+        # highest degrees bound its slots; _mod_slots reduces slots of at
+        # least 2w + bitlen(p) bits, rounded up to a word where one fits
+        p, bound, slots = field.p, 1, 1
+        self._compose_slots = []
+        for r, d in enumerate((0, *sorted(self._degrees, reverse=True))):
+            if r:
+                bound *= (d + 1) * (p - 1)
+                slots += d
+            w = bound.bit_length()
+            least = 2 * w + p.bit_length()
+            stride = next((word for word in _WORD_CODES if word >= least), least)
+            self._compose_slots.append((stride, w, slots))
         # a residue-pass slot sums at most total + 1 products of two
         # residues; _mod_slots wants slots of w + s bits, s = w + bitlen(p)
-        self._sum_width = w = _slot_width(field.p, self._total + 1)
-        self._row_width = width = 2 * w + field.p.bit_length()
+        self._sum_width = w = _slot_width(p, self._total + 1)
+        self._row_width = width = 2 * w + p.bit_length()
+        self._residue_quotient = _slot_quotient_constants(self._total, w, p, width)
         # block i holds the residue mod constituent i, one slot per
         # coefficient below its degree; _folds has, per block, the bit
         # offset of its top slot and f_i's lower coefficients packed in
@@ -113,30 +132,26 @@ class PolynomialPool:
     def n(self) -> int:
         return len(self.constituents)
 
-    def _packed_at(self, w: int) -> tuple[int, ...]:
-        packed = self._packed.get(w)
+    def _packed_at(self, stride: int) -> tuple[int, ...]:
+        packed = self._packed.get(stride)
         if packed is None:
-            packed = self._packed[w] = tuple(_pack(f.coeffs, w) for f in self.constituents)
+            packed = self._packed[stride] = tuple(_pack(f.coeffs, stride) for f in self.constituents)
         return packed
 
     def compose(self, subset: Iterable[int]) -> Polynomial:
-        """Product of the selected generators, as one product of packed ints;
-        the empty product is the unit, Polynomial.one."""
+        """Product of the selected generators, as one product of packed ints
+        with every slot reduced at once; the empty product is the unit,
+        Polynomial.one."""
         indices = validated_indices(subset, self.n)
-        lengths = [self._lengths[i] for i in indices]
-        # every coefficient of the product is at most the product of the
-        # factors' coefficient sums, each at most len * (p - 1); a slot
-        # rounded up to a machine word is read in one struct.unpack
-        w = (math.prod(lengths) * (self.field.p - 1) ** len(lengths)).bit_length()
-        for word in _WORD_CODES:
-            if word >= w:
-                w = word
-                break
-        packed = self._packed_at(w)
+        stride, w, slots = self._compose_slots[len(indices)]
+        packed = self._packed_at(stride)
         value = 1
         for i in indices:
             value *= packed[i]
-        return Polynomial(self.field, _unpack(value, sum(lengths) - len(lengths) + 1, w))
+        value = _mod_slots(value, slots, w, self.field.p, stride)
+        # a product of monic factors is monic: its top slot holds a 1
+        coeffs = _unpack(value, -(-value.bit_length() // stride), stride)
+        return Polynomial._from_reduced(self.field, tuple(coeffs))
 
     def _rows_to(self, degree: int) -> list[int]:
         """The residue rows 0..degree (and any built before)."""
@@ -166,23 +181,30 @@ class PolynomialPool:
         irreducibles are coprime.  The unit element decomposes to the
         empty subset.
         """
-        if element.field != self.field:
+        if element.field is not self.field and element.field != self.field:
             raise ValueError("element is not defined over the pool's field")
-        if not element:
-            raise NotDecomposableError("the zero polynomial is not decomposable")
         coeffs = element.coeffs
-        if element.degree > self._total:
+        if not coeffs:
+            raise NotDecomposableError("the zero polynomial is not decomposable")
+        degree, monic = len(coeffs) - 1, coeffs[-1] == 1
+        if degree > self._total:
             # the constituents divide the element exactly when they divide
             # its remainder mod their product, which keeps every slot sum
             # within total + 1 products and the rows within total + 1
             coeffs = (element % self.compose(range(self.n))).coeffs
-        acc = 0
-        for c, row in zip(coeffs, self._rows_to(len(coeffs) - 1)):
-            if c:  # skip the product for a 1, every nonzero digit over GF(2)
-                acc += row if c == 1 else c * row
-        residues = _mod_slots(acc, self._total, self._sum_width, self.field.p)
+        rows, p = self._rows_to(len(coeffs) - 1), self.field.p
+        if p == 2:  # every nonzero digit is a 1
+            acc = sum(compress(rows, coeffs))
+        else:
+            acc = 0
+            for c, row in zip(coeffs, rows):
+                if c:
+                    acc += row if c == 1 else c * row
+        # _mod_slots, on the constants kept from construction
+        s, m, low = self._residue_quotient
+        residues = acc - p * (acc * m >> s & low)
         found = [i for i, block in enumerate(self._blocks) if not residues & block]
-        if element.is_monic and sum(self._degrees[i] for i in found) == element.degree:
+        if monic and sum(self._degrees[i] for i in found) == degree:
             return tuple(found)
         remaining = element
         for i in found:

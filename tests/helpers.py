@@ -119,18 +119,78 @@ def lub_oracle(lat: FiniteLattice, a: str, b: str) -> str:
 
 
 def decompositions_oracle(lat: FiniteLattice, x: str) -> list[frozenset[str]]:
-    """``irreducible_decompositions`` as the exhaustive subset scan: the meet
-    of every subset of the meet-irreducibles above x, fewest members first
-    and then in ascending element order, keeping each subset that meets in x
-    and has no proper subset among those kept."""
+    """``irreducible_decompositions`` as the subset scan: the subsets of the
+    meet-irreducibles above x that meet in x while no proper subset does,
+    fewest members first and then in ascending element order.
+
+    The scan runs level by level.  A proper subset meeting in x makes every
+    set between it and the whole meet in x too, as the meet only falls and
+    stays above x, so a subset is kept exactly when it meets in x and none
+    of its one-smaller subsets does, and only subsets all of whose
+    one-smaller subsets miss x are formed at all.
+    """
     cands = [q for q in lat.meet_irreducibles() if lat.leq(x, q)]
-    hits = [
-        frozenset(combo)
-        for r in range(len(cands) + 1)
-        for combo in itertools.combinations(cands, r)
-        if functools.reduce(lat.meet, combo, lat.top) == x
+    kept, level = [], [()]
+    while level:
+        misses = []
+        for combo in level:
+            if functools.reduce(lat.meet, combo, lat.top) == x:
+                kept.append(frozenset(combo))
+            else:
+                misses.append(combo)
+        missed = set(misses)
+        level = [
+            combo + (q,)
+            for combo in misses
+            for q in cands[cands.index(combo[-1]) + 1 if combo else 0:]
+            if all(sub in missed for sub in itertools.combinations(combo + (q,), len(combo)))
+        ]
+    return kept
+
+
+def closure_oracle(elements, covers) -> tuple[list[int], list[int], list[int], int, int]:
+    """The order ``FiniteLattice(elements, covers)`` builds from distinct
+    labels, by the Warshall closure and a scan of every pair for covers:
+    the rows up, down and cover_up and the bottom and top indices.  It
+    raises the constructor's errors on the covers, checked in the
+    constructor's order."""
+    labels = [str(e) for e in elements]
+    index = {e: i for i, e in enumerate(labels)}
+    m = len(labels)
+    up = [1 << i for i in range(m)]
+    for n, (lo, hi) in enumerate(covers):
+        for label in (lo, hi):
+            if str(label) not in index:
+                raise ValueError(f"covers[{n}]: unknown lattice element {label!r}")
+        i, j = index[str(lo)], index[str(hi)]
+        if i == j:
+            raise ValueError(f"cover ({lo}, {hi}) relates an element to itself")
+        up[i] |= 1 << j
+    for via in range(m):
+        for i in range(m):
+            if up[i] >> via & 1:
+                up[i] |= up[via]
+    down = [sum(1 << i for i in range(m) if up[i] >> j & 1) for j in range(m)]
+    if any(up[i] & down[i] != 1 << i for i in range(m)):
+        raise ValueError("cover relation contains a cycle")
+    full = (1 << m) - 1
+    bottoms = [i for i in range(m) if up[i] == full]
+    tops = [i for i in range(m) if down[i] == full]
+    if len(bottoms) != 1 or len(tops) != 1:
+        raise ValueError("order must have a unique bottom and a unique top")
+    cover_up = [
+        sum(1 << j for j in range(m) if j != i and up[i] >> j & 1 and (up[i] & down[j]) == 1 << i | 1 << j)
+        for i in range(m)
     ]
-    return [h for h in hits if not any(other < h for other in hits)]
+    meets = set(down)
+    for i in range(m):
+        for j in range(i + 1, m):
+            if down[i] & down[j] not in meets:
+                raise ValueError(
+                    f"elements {labels[i]!r}, {labels[j]!r} lack a unique "
+                    "greatest lower bound; the order is not a lattice"
+                )
+    return up, down, cover_up, bottoms[0], tops[0]
 
 
 def semimodular_oracle(lat: FiniteLattice) -> bool:

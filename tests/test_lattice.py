@@ -18,6 +18,7 @@ from cwlattice.lattice import (
 )
 from helpers import (
     all_lattices,
+    closure_oracle,
     decompositions_oracle,
     glb_oracle,
     lub_oracle,
@@ -70,6 +71,95 @@ def test_construction_rejects_non_lattices():
         FiniteLattice(["a", "b"], [("a", "a"), ("a", "b")])
     with pytest.raises(ValueError, match="at least one element"):
         chain(0)
+
+
+def order_of(lat: FiniteLattice):
+    return lat._up, lat._down, lat._cover_up, lat._bottom, lat._top
+
+
+def test_closure_matches_the_warshall_oracle():
+    # every lattice of at most 8 elements, from its covers, from its whole
+    # order (redundant pairs), and from shuffled covers with repeated and
+    # redundant pairs
+    rng = random.Random(31)
+    total = 0
+    for m in range(1, 9):
+        for lat in all_lattices(m):
+            covers = lat.cover_pairs()
+            order = [(a, b) for a in lat.elements for b in lat.elements if a != b and lat.leq(a, b)]
+            mixed = covers + rng.sample(order, len(order) // 2) + rng.choices(covers, k=len(covers) // 2)
+            rng.shuffle(mixed)
+            for pairs in (covers, order, mixed):
+                want = closure_oracle(lat.elements, pairs)
+                got = FiniteLattice(lat.elements, pairs)
+                assert order_of(got) == want, (lat.elements, pairs)
+                irreducible = [lat.elements[i] for i, row in enumerate(want[2]) if row.bit_count() == 1]
+                assert got.meet_irreducibles() == irreducible
+            total += 1
+    assert total == 4008
+
+
+# the construction errors, in check order: label, self-cover, cycle,
+# bottom/top, pair
+KINDS = ("covers[", "cover (", "cover relation contains a cycle",
+         "order must have a unique bottom and a unique top", "elements ")
+
+
+def outcome(build, elements, covers):
+    try:
+        return build(elements, covers)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_construction_errors_match_the_warshall_oracle():
+    # random relations, with self-pairs, unknown labels and cycles, give
+    # the oracle's first error in the oracle's check order, or its order
+    rng = random.Random(29)
+    errors = set()
+    for _ in range(3000):
+        m = rng.randrange(1, 7)
+        elements = [f"e{i}" for i in range(m)]
+        labels = elements + ["zz"] * (rng.random() < 0.1)
+        covers = [(rng.choice(labels), rng.choice(labels)) for _ in range(rng.randrange(3 * m))]
+        want = outcome(closure_oracle, elements, covers)
+        got = outcome(lambda e, c: order_of(FiniteLattice(e, c)), elements, covers)
+        assert got == want, (elements, covers)
+        if isinstance(want, str):
+            errors.add(next(kind for kind in KINDS if want.startswith(kind)))
+    # a cycle is reported before the missing bottom, also when nothing
+    # lies below the cycle; the bowtie has a bottom and a top but no meets
+    bowtie = [("0", "x"), ("0", "y"), ("x", "p"), ("y", "p"), ("x", "q"), ("y", "q"), ("p", "1"), ("q", "1")]
+    for elements, covers in ((["a", "b", "c"], [("a", "b"), ("b", "a")]),
+                             (["0", "a", "b"], [("0", "a"), ("a", "b"), ("b", "a")]),
+                             (["a", "b"], [("a", "b"), ("b", "a"), ("a", "a")]),
+                             (["0", "x", "y", "p", "q", "1"], bowtie)):
+        want = outcome(closure_oracle, elements, covers)
+        assert outcome(FiniteLattice, elements, covers) == want
+        errors.add(next(kind for kind in KINDS if want.startswith(kind)))
+    assert errors == set(KINDS)
+    assert outcome(FiniteLattice, ["a", "b", "c"], [("a", "b"), ("b", "a")]) == "cover relation contains a cycle"
+    assert outcome(FiniteLattice, ["a", "b"], [("a", "b"), ("b", "a"), ("a", "a")]) == \
+        "cover (a, a) relates an element to itself"
+
+
+def test_labels_resolve_by_lookup_and_by_str():
+    c3 = chain(3)
+    assert c3.meet(1, 2) == "1" and c3.join(0, "2") == "2"
+    assert c3.leq(0, 1) and not c3.leq("2", 1)
+    for bad in ("zz", 5, ["0"]):
+        with pytest.raises(ValueError, match=r"^unknown lattice element "):
+            c3.meet("0", bad)
+        with pytest.raises(ValueError, match=r"^unknown lattice element "):
+            c3.join(bad, "0")
+    rows = [[0, 0, 0], [0, 1, 1], [0, 1, 2]]
+    assert MultiplicationTable(c3, rows).to_json() == [[str(v) for v in row] for row in rows]
+    rows[1][2] = "zz"
+    with pytest.raises(ValueError, match=r"^mult\[1\]\[2\]: unknown lattice element 'zz'$"):
+        MultiplicationTable(c3, rows)
+    rows[1][2] = ["1"]
+    with pytest.raises(ValueError, match=r"^mult\[1\]\[2\]: unknown lattice element \['1'\]$"):
+        MultiplicationTable(c3, rows)
 
 
 def test_meet_join_against_order_oracle():
@@ -181,12 +271,13 @@ def partitions_4() -> FiniteLattice:
 
 
 def test_decompositions_match_the_subset_scan():
-    lattices = [lat for m in range(1, 8) for lat in all_lattices(m)]
+    lattices = [lat for m in range(1, 9) for lat in all_lattices(m)]
+    assert len(lattices) == 4008
     lattices += named_lattices().values()
     lattices += [product(subspaces_gf2_3(), chain(3)), product(partitions_4(), chain(3)),
                  product(chain(3), product(chain(3), chain(3))), product(chain(5), chain(5))]
-    lattices += [wide_diamond(c) for c in range(1, 13)]
-    assert sum(map(len, lattices)) > 2600
+    lattices += [wide_diamond(c) for c in range(1, 41)]
+    assert sum(map(len, lattices)) > 32000
     for lat in lattices:
         for x in lat.elements:
             assert lat.irreducible_decompositions(x) == decompositions_oracle(lat, x), (x, lat.to_json())
@@ -200,6 +291,14 @@ def test_wide_diamond_bottom_decomposes_into_every_pair_of_atoms():
         assert lat.irreducible_decompositions("0") == pairs
         report = lat.decomposition_theorem_report()
         assert not report.unique_decomposition and report.agree
+
+
+def test_wide_diamond_bottom_at_three_hundred_atoms():
+    # a grown set is checked only against the hit sets holding its new
+    # member, so the 44850 pairs come in about a second, not minutes
+    decompositions = wide_diamond(300).irreducible_decompositions("0")
+    assert len(decompositions) == 44850 and all(len(d) == 2 for d in decompositions)
+    assert decompositions[0] == {"a0", "a1"} and decompositions[-1] == {"a298", "a299"}
 
 
 def oracle_corpus() -> list[FiniteLattice]:

@@ -266,28 +266,37 @@ def test_roundtrip_exhaustive(n):
 
 
 def test_compose_matches_polynomial_products_at_every_slot_width():
-    # compose rounds its slot width up to 8, 16, 32 or 64 bits and reads
-    # those with struct.unpack; wider products keep the shift loop.  The
-    # linear pool over F_257 alone spans every word size and goes past 64
-    # bits from eight constituents on
-    f3, f257 = PrimeField(3), PrimeField(257)
+    # compose multiplies an r-subset in slots of at least 2w + bitlen(p)
+    # bits, where 2**w bounds the coefficients of the r longest
+    # constituents' product, rounded up to 8, 16, 32 or 64 bits, which
+    # struct.unpack reads; wider slots keep the shift loop.  The binary
+    # pool spans every word size, the linear pool over F_257 goes past 64
+    # bits from three constituents on, and over a prime above 2**32 the
+    # unit takes 64 bits and any constituent more
+    f3, f257, big = PrimeField(3), PrimeField(257), PrimeField(2**32 + 15)
     pools = [
         PolynomialPool(binary_irreducibles(10)),
         PolynomialPool(drawn_irreducibles(f3, (1, 2, 3), 6, random.Random(3))),
         PolynomialPool([Polynomial(f257, (c, 1)) for c in range(1, 11)]),
+        PolynomialPool([Polynomial(big, (c, 1)) for c in range(1, 5)]),
     ]
     widths = set()
     for pool in pools:
         one, p = Polynomial.one(pool.field), pool.field.p
+        longest = sorted((f.degree + 1 for f in pool.constituents), reverse=True)
         for size in range(pool.n + 1):
+            w = (math.prod(longest[:size]) * (p - 1) ** size).bit_length()
+            widths.add(next((word for word in (8, 16, 32, 64) if 2 * w + p.bit_length() <= word), "wider"))
             for subset in itertools.combinations(range(pool.n), size):
-                lengths = [pool.constituents[i].degree + 1 for i in subset]
-                bits = (math.prod(lengths) * (p - 1) ** size).bit_length()
-                widths.add(next((word for word in (8, 16, 32, 64) if bits <= word), "wider"))
                 want = one
                 for i in subset:
                     want = want * pool.constituents[i]
-                assert pool.compose(subset) == want, (pool, subset)
+                got = pool.compose(subset)
+                assert got == want, (pool, subset)
+                # reduced in place of the constructor's rule: a tuple of
+                # residues whose top one is nonzero
+                assert type(got.coeffs) is tuple and got.coeffs[-1] != 0, (pool, subset)
+                assert all(type(c) is int and 0 <= c < p for c in got.coeffs), (pool, subset)
     assert widths == {8, 16, 32, 64, "wider"}
 
 
