@@ -20,7 +20,7 @@ bound is not a cap; it is the report's separate ``lower_bound``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, isqrt
 
 
 # every value a report holds is at most C(n, k) <= C(n, n // 2), which has
@@ -43,10 +43,15 @@ def sphere_size(n: int, k: int, r: int) -> int:
     """Number of k-subsets within symmetric distance 2r of a fixed k-subset.
 
     Equals sum_{i=0..r} C(k, i) * C(n-k, i), independent of the center.
+    Each term is the one before times (k-i)(n-k-i) / (i+1)^2, exactly.
     """
     if not 0 <= r <= min(k, n - k):
         raise ValueError(f"radius must lie in 0..min(k, n-k), got r={r}")
-    return sum(comb(k, i) * comb(n - k, i) for i in range(r + 1))
+    total = term = 1
+    for i in range(r):
+        term = term * (k - i) * (n - k - i) // (i + 1) ** 2
+        total += term
+    return total
 
 
 def sphere_packing_bound(n: int, k: int, d: int) -> int:
@@ -101,10 +106,9 @@ def johnson1_refined(n: int, k: int, delta: int) -> int:
     """One less than the smallest size failing the refined feasibility test.
 
     This is a valid cap because a code contains codes of every smaller
-    size.  Scans upward until the first failure and returns C(n,k) when
-    no size up to it fails.  No size can fail when Johnson bound 1 is
-    inapplicable, D = k^2 - kn + delta*n <= 0, so the scan is skipped.
-    With kN = na + b, n times the test's slack is
+    size; it is C(n,k) when no size up to C(n,k) fails.  No size can fail
+    when Johnson bound 1 is inapplicable, D = k^2 - kn + delta*n <= 0, so
+    the search is skipped.  With kN = na + b, n times the test's slack is
 
         -D*N^2 + delta*n*N - b(n-b) >= k(n-k)N - b(n-b) >= 0:
 
@@ -112,13 +116,21 @@ def johnson1_refined(n: int, k: int, delta: int) -> int:
     second holds as f(x) = (x mod n)(n - x mod n) = t(n-t), with t the
     distance from x to the nearest multiple of n, is subadditive (t is,
     and t(n-t) is concave in t on [0, n/2]), so b(n-b) = f(kN) <= N f(k).
+    For D > 0, b(n-b) <= n^2/4, so no N with 4(delta*n*N - D*N^2) >= n^2
+    fails, and the upward search skips them: the interval [r1, r2] of
+    the roots n(delta -+ sqrt(delta^2 - D)) / (2D).  Every N above
+    delta*n/D = r1 + r2 fails and r1 <= n/(2 delta): about n/delta tests.
     """
     cap = comb(n, k)
     if johnson1(n, k, delta) is None:
         return cap
+    D = k * k - k * n + delta * n
     size = 1
     while size <= cap:
-        if not johnson1_refined_feasible(n, k, delta, size):
+        if 4 * (delta * n * size - D * size * size) >= n * n:
+            # go on from floor(r2) + 1: isqrt keeps the floor exact
+            size = (delta * n + isqrt(n * n * (delta * delta - D))) // (2 * D)
+        elif not johnson1_refined_feasible(n, k, delta, size):
             return size - 1
         size += 1
     return cap

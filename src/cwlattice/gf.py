@@ -19,14 +19,17 @@ width w follows one rule, ``_slot_width``: a slot starts at most p - 1
 and takes at most ``terms`` products of two residues, so it stays
 below 2**w for w = bit_length((p-1) + terms*(p-1)**2).  Long division
 adds (p - c)*b*X^shift instead of subtracting c*b*X^shift: slots only
-grow, so no borrow ever crosses a slot boundary.  ``_mod_slots`` reduces
-every slot of a packed value mod p at once, by one multiplication with
-a fixed-point inverse of p, in slots of x < 2**w that are at least
-2w + bitlen(p) bits wide, so that it is exact; a wider stride, such as
-a machine word, works as well.
-Slots of 8, 16, 32 or 64 bits are machine words: ``_unpack`` reads all
-of them with one little-endian ``struct.unpack`` of the value's bytes
-instead of one shift per slot.
+grow, so no borrow ever crosses a slot boundary.
+
+One layout, ``_Slots``, reduces every slot of a packed value mod p at
+once, by one multiplication with a fixed-point inverse of p: its slots
+hold some x < 2**w each and are 2w + bitlen(p) bits wide, so that the
+reduction is exact, or a machine word of 8, 16, 32 or 64 bits when
+``word`` is set and one fits.  Each kernel builds its layout once: the
+Ben-Or test one per input, a ``cwlattice.pool`` pool one per subset size
+of ``compose`` (word-wide) and one for its residue rows.  ``_unpack``
+reads word-wide slots, whatever made them, with one little-endian
+``struct.unpack`` of the value's bytes instead of one shift per slot.
 
 Binary polynomials additionally support a compact hexadecimal codec:
 the coefficients are read highest degree first as a binary string,
@@ -41,10 +44,10 @@ X^(p^i) by square and multiply mod f.  The residues are multiplied
 together mod f and one gcd of the product with f decides, since an
 irreducible factor of f divides the product exactly when it divides
 one of the factors.  It costs time polynomial in n and log p.  Every
-residue stays packed, in the slots of ``_mod_slots``: one multiply and
-one long division by f give a product mod f, one ``_mod_slots`` reduces
-all its slots, and X^(p^i) - X is one add of (p - 1)X and one more
-``_mod_slots``.  Only the final Euclid runs on Polynomial.  Over fields
+residue stays packed, in one ``_Slots`` layout: one multiply and
+one long division by f give a product mod f, one ``_Slots.reduce``
+reduces all its slots, and X^(p^i) - X is one add of (p - 1)X and one
+more reduction.  Only the final Euclid runs on Polynomial.  Over fields
 with p <= 32n a scan for roots runs first: a root of f of degree n >= 2
 is a linear factor, so most reducible inputs stop there.  When the scan
 finds none, f of degree 2 or 3 is irreducible, as any factorization of
@@ -54,7 +57,6 @@ gcd(X^p - X, f) = 1 says exactly that f has no root in GF(p).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import struct
 from typing import Iterable, Iterator, Sequence
@@ -156,31 +158,42 @@ def _unpack(value: int, slots: int, w: int) -> list[int]:
     return list(struct.unpack(f"<{slots}{code}", value.to_bytes(size, "little")))
 
 
-@functools.lru_cache(maxsize=64)
-def _slot_quotient_constants(slots: int, w: int, p: int, stride: int) -> tuple[int, int, int]:
-    """(s, m, low) for ``_mod_slots``: low has the bits [0, w) of each slot set."""
-    s = w + p.bit_length()
-    return s, -(-(1 << s) // p), _pack([(1 << w) - 1] * slots, stride)
+class _Slots:
+    """``count`` slots of x < 2**w, ``stride`` bits apart, and the constants
+    that reduce them all mod p at once: the layout of the module docstring."""
 
+    __slots__ = ("p", "stride", "s", "m", "low")
 
-def _mod_slots(value: int, slots: int, w: int, p: int, stride: int = 0) -> int:
-    """Every slot of a packed value reduced mod p, all slots at once.
+    def __init__(self, p: int, w: int, count: int, word: bool = False):
+        least = 2 * w + p.bit_length()
+        self.p, self.s = p, w + p.bit_length()
+        self.stride = next((b for b in _WORD_CODES if b >= least), least) if word else least
+        self.m = -(-(1 << self.s) // p)
+        self.low = _pack([(1 << w) - 1] * count, self.stride)  # bits [0, w) of each slot
 
-    Slots are ``stride`` bits wide, at least w + s for s = w + bitlen(p)
-    and by default exactly that, and each holds some x < 2**w; the result
-    has the same layout.  Slots above the value read as zero, so ``slots``
-    may overcount.  With m = ceil(2**s / p),
-    floor(x*m / 2**s) is floor(x / p) exactly: write p*m = 2**s + e with
-    0 <= e < p, so x*m / 2**s = x/p + x*e / (p * 2**s), and the error
-    term is below 2**w / 2**s = 2**-bitlen(p) < 1/p.  For x = q*p + r
-    with r <= p - 1 the sum thus lies in [q, q + 1).  Since m <= 2**s,
-    x*m < 2**(w + s) stays inside its slot, so one product of the packed
-    value by m multiplies every slot; shifting by s and keeping the low
-    w bits of each slot reads off every quotient, and subtracting p
-    times them leaves every remainder without a borrow.
-    """
-    s, m, low = _slot_quotient_constants(slots, w, p, stride or 2 * w + p.bit_length())
-    return value - p * (value * m >> s & low)
+    def pack(self, coeffs: Sequence[int]) -> int:
+        return _pack(coeffs, self.stride)
+
+    def unpack(self, value: int) -> list[int]:
+        """Every slot up to the value's highest nonzero one."""
+        return _unpack(value, -(-value.bit_length() // self.stride), self.stride)
+
+    def reduce(self, value: int) -> int:
+        """Every slot of a packed value reduced mod p, all slots at once.
+
+        The result has the same layout.  Slots above the value read as
+        zero, so ``count`` may overcount.  With m = ceil(2**s / p),
+        floor(x*m / 2**s) is floor(x / p) exactly: write p*m = 2**s + e
+        with 0 <= e < p, so x*m / 2**s = x/p + x*e / (p * 2**s), and the
+        error term is below 2**w / 2**s = 2**-bitlen(p) < 1/p.  For
+        x = q*p + r with r <= p - 1 the sum thus lies in [q, q + 1).
+        Since m <= 2**s, x*m < 2**(w + s) stays inside its slot, so one
+        product of the packed value by m multiplies every slot; shifting
+        by s and keeping the low w bits of each slot reads off every
+        quotient, and subtracting p times them leaves every remainder
+        without a borrow.
+        """
+        return value - self.p * (value * self.m >> self.s & self.low)
 
 
 def _divmod_packed(a: int, top: int, b: int, n: int, inv: int, p: int, w: int) -> tuple[int, int]:
@@ -385,15 +398,13 @@ def is_irreducible(f: Polynomial) -> bool:
         if n <= 3:
             return True
     # a product of two residues mod f puts at most n products of two
-    # residues in a slot, and dividing it by f (n + 1 slots) adds n + 1;
-    # _mod_slots reads slots of 2w + bitlen(p) bits holding that sum
-    w = _slot_width(p, 2 * n + 1)
-    width = 2 * w + p.bit_length()
-    packed_f, inv = _pack(f.coeffs, width), pow(f.coeffs[-1], -1, p)
+    # residues in a slot, and dividing it by f (n + 1 slots) adds n + 1
+    slots = _Slots(p, _slot_width(p, 2 * n + 1), n)
+    width, reduce = slots.stride, slots.reduce
+    packed_f, inv = slots.pack(f.coeffs), pow(f.coeffs[-1], -1, p)
 
     def mulmod(a: int, b: int) -> int:
-        rem = _divmod_packed(a * b, 2 * n - 2, packed_f, n + 1, inv, p, width)[1]
-        return _mod_slots(rem, n, w, p)
+        return reduce(_divmod_packed(a * b, 2 * n - 2, packed_f, n + 1, inv, p, width)[1])
 
     power = 1 << width  # X, then X^(p^i) mod f
     product = 1  # the product of X^(p^i) - X mod f so far
@@ -409,13 +420,13 @@ def is_irreducible(f: Polynomial) -> bool:
         # after a root scan that found none, gcd(X^p - X, f) = 1: the
         # factor for i = 1 would add nothing
         if i > 1 or not scanned:
-            factor = _mod_slots(power + minus_x, n, w, p)
+            factor = reduce(power + minus_x)
             # 1 times the factor is the factor: skip that multiply
             product = mulmod(product, factor) if product != 1 else factor
     # an irreducible factor of f divides the product exactly when it
     # divides one of its factors, so one gcd with f decides: Euclid,
     # stopping at a constant remainder
-    g, r = f, Polynomial(f.field, _unpack(product, n, width))
+    g, r = f, Polynomial(f.field, slots.unpack(product))
     while r.degree > 0:
         g, r = r, g % r
     return bool(r)

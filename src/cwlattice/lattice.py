@@ -402,12 +402,12 @@ class MultiplicationTable:
         return [self.lattice.elements[i] for i in self._powers(self.lattice._idx(b))]
 
     def _powers(self, b: int) -> list[int]:
-        seen: list[int] = []
+        seen: dict[int, None] = {}
         x = b
         while x not in seen:
-            seen.append(x)
+            seen[x] = None
             x = self._table[x][b]
-        return seen
+        return list(seen)
 
     def to_json(self) -> list[list[str]]:
         els = self.lattice.elements

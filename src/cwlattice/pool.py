@@ -9,36 +9,26 @@ distinct.
 
 Two backends are provided.  PolynomialPool holds monic irreducible
 polynomials over one prime field and composes by multiplying the
-generators in one product of packed ints.  The slots are wide enough
-for one ``_mod_slots`` to reduce every coefficient mod p at once, by a
-bound read from a table built with the pool, one entry per subset size,
-and rounded up to 8, 16, 32 or 64 bits where that bound allows, so that
-one ``struct.unpack`` reads them all; the reduced tuple is the
-polynomial as it stands.  It decomposes in one residue pass: row j,
-cached, packs X^j mod every constituent side by side, so the sum of the
-element's coefficients times the rows packs its remainder mod every
-constituent, and a constituent divides the element when its block of
-slots reduces to zero mod p.  SubsetPool is the purely combinatorial
-backend where elements are the index sets themselves.
+generators in one product of packed ints, laid out and reduced mod p by
+``cwlattice.gf``'s slot layout (its module docstring), one layout per
+subset size, whose bound on the coefficients comes from the longest
+constituents; the reduced tuple is the polynomial as it stands.  It
+decomposes in one residue pass: row j, cached, packs X^j mod every
+constituent side by side, so the sum of the element's coefficients
+times the rows packs its remainder mod every constituent, and a
+constituent divides the element when its block of slots reduces to zero
+mod p.  SubsetPool is the purely combinatorial backend where elements
+are the index sets themselves.
 """
 
 from __future__ import annotations
 
+import math
 from itertools import compress
 from typing import Iterable, Sequence
 
 from cwlattice.code import validated_indices
-from cwlattice.gf import (
-    _WORD_CODES,
-    Polynomial,
-    PrimeField,
-    _mod_slots,
-    _pack,
-    _slot_quotient_constants,
-    _slot_width,
-    _unpack,
-    is_irreducible,
-)
+from cwlattice.gf import Polynomial, PrimeField, _Slots, _slot_width, is_irreducible
 
 
 class NotDecomposableError(ValueError):
@@ -88,31 +78,13 @@ class PolynomialPool:
                                  "constituents must be pairwise distinct")
         self.field = field
         self.constituents = constituents
-        # slot stride -> the constituents packed at that stride
-        self._packed: dict[int, tuple[int, ...]] = {}
         self._degrees = tuple(f.degree for f in constituents)
-        self._total = sum(self._degrees)
-        # r -> (stride, w, slots) of compose for r-subsets.  A product's
-        # coefficients are at most the product of its factors' coefficient
-        # sums, each at most (degree + 1) * (p - 1), so the r longest
-        # constituents bound every r-subset by some x < 2**w, and the r
-        # highest degrees bound its slots; _mod_slots reduces slots of at
-        # least 2w + bitlen(p) bits, rounded up to a word where one fits
-        p, bound, slots = field.p, 1, 1
-        self._compose_slots = []
-        for r, d in enumerate((0, *sorted(self._degrees, reverse=True))):
-            if r:
-                bound *= (d + 1) * (p - 1)
-                slots += d
-            w = bound.bit_length()
-            least = 2 * w + p.bit_length()
-            stride = next((word for word in _WORD_CODES if word >= least), least)
-            self._compose_slots.append((stride, w, slots))
-        # a residue-pass slot sums at most total + 1 products of two
-        # residues; _mod_slots wants slots of w + s bits, s = w + bitlen(p)
-        self._sum_width = w = _slot_width(p, self._total + 1)
-        self._row_width = width = 2 * w + p.bit_length()
-        self._residue_quotient = _slot_quotient_constants(self._total, w, p, width)
+        self._total = total
+        # subset size -> (layout, constituents packed in it), on first compose
+        self._composers: dict[int, tuple[_Slots, tuple[int, ...]]] = {}
+        # a residue-pass slot sums at most total + 1 products of two residues
+        self._residues = layout = _Slots(field.p, _slot_width(field.p, total + 1), total)
+        width = layout.stride
         # block i holds the residue mod constituent i, one slot per
         # coefficient below its degree; _folds has, per block, the bit
         # offset of its top slot and f_i's lower coefficients packed in
@@ -120,7 +92,7 @@ class PolynomialPool:
         blocks, folds, start = [], [], 0
         for f, d in zip(constituents, self._degrees):
             blocks.append(((1 << d * width) - 1) << start * width)
-            folds.append(((start + d - 1) * width, _pack(f.coeffs[:-1], width) << start * width))
+            folds.append(((start + d - 1) * width, layout.pack(f.coeffs[:-1]) << start * width))
             start += d
         self._blocks, self._folds = tuple(blocks), tuple(folds)
         self._tops = sum(1 << shift for shift, _ in folds) * ((1 << width) - 1)
@@ -132,31 +104,37 @@ class PolynomialPool:
     def n(self) -> int:
         return len(self.constituents)
 
-    def _packed_at(self, stride: int) -> tuple[int, ...]:
-        packed = self._packed.get(stride)
-        if packed is None:
-            packed = self._packed[stride] = tuple(_pack(f.coeffs, stride) for f in self.constituents)
-        return packed
+    def _composer(self, r: int) -> tuple[_Slots, tuple[int, ...]]:
+        """The layout of r-subset products and the constituents packed in it.
+
+        A product's coefficients are at most the product of its factors'
+        coefficient sums, each at most (degree + 1) * (p - 1), so the r
+        longest constituents bound every r-subset's by some x < 2**w, and
+        the r highest degrees bound its slots.
+        """
+        p, longest = self.field.p, sorted(self._degrees, reverse=True)[:r]
+        w = math.prod((d + 1) * (p - 1) for d in longest).bit_length()
+        layout = _Slots(p, w, 1 + sum(longest), word=True)
+        self._composers[r] = entry = layout, tuple(layout.pack(f.coeffs) for f in self.constituents)
+        return entry
 
     def compose(self, subset: Iterable[int]) -> Polynomial:
         """Product of the selected generators, as one product of packed ints
         with every slot reduced at once; the empty product is the unit,
         Polynomial.one."""
         indices = validated_indices(subset, self.n)
-        stride, w, slots = self._compose_slots[len(indices)]
-        packed = self._packed_at(stride)
+        layout, packed = self._composers.get(len(indices)) or self._composer(len(indices))
         value = 1
         for i in indices:
             value *= packed[i]
-        value = _mod_slots(value, slots, w, self.field.p, stride)
         # a product of monic factors is monic: its top slot holds a 1
-        coeffs = _unpack(value, -(-value.bit_length() // stride), stride)
+        coeffs = layout.unpack(layout.reduce(value))
         return Polynomial._from_reduced(self.field, tuple(coeffs))
 
     def _rows_to(self, degree: int) -> list[int]:
         """The residue rows 0..degree (and any built before)."""
-        rows, p, width = self._rows, self.field.p, self._row_width
-        mask = (1 << width) - 1
+        rows, p, width = self._rows, self.field.p, self._residues.stride
+        mask, reduce = (1 << width) - 1, self._residues.reduce
         while len(rows) <= degree:
             # X * (X^j mod f) mod f: every slot moves up one; a block's top
             # slot t leaves it and comes back as (p - t) times f's lower part
@@ -166,7 +144,7 @@ class PolynomialPool:
                 t = tops >> shift & mask
                 if t:
                     row += (p - t) * lower
-            rows.append(_mod_slots(row, self._total, self._sum_width, p))
+            rows.append(reduce(row))
         return rows
 
     def decompose(self, element: Polynomial) -> tuple[int, ...]:
@@ -200,9 +178,7 @@ class PolynomialPool:
             for c, row in zip(coeffs, rows):
                 if c:
                     acc += row if c == 1 else c * row
-        # _mod_slots, on the constants kept from construction
-        s, m, low = self._residue_quotient
-        residues = acc - p * (acc * m >> s & low)
+        residues = self._residues.reduce(acc)
         found = [i for i, block in enumerate(self._blocks) if not residues & block]
         if monic and sum(self._degrees[i] for i in found) == degree:
             return tuple(found)

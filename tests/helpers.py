@@ -5,10 +5,12 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from math import comb
 
 import networkx as nx
 
 from cwlattice import saf
+from cwlattice.bounds import johnson1, johnson1_refined_feasible
 from cwlattice.cliques import CompatibilityGraph
 from cwlattice.code import ConstantWeightCode, DecodeResult, decode
 from cwlattice.gf import Polynomial
@@ -413,6 +415,19 @@ def johnson2_recursive(n: int, k: int, delta: int) -> int:
     if k == delta:
         return n // k
     return n * johnson2_recursive(n - 1, k - 1, delta) // k
+
+
+def johnson1_refined_scan(n: int, k: int, delta: int) -> int:
+    """``bounds.johnson1_refined`` by testing every size upward from 1."""
+    cap = comb(n, k)
+    if johnson1(n, k, delta) is None:
+        return cap
+    size = 1
+    while size <= cap:
+        if not johnson1_refined_feasible(n, k, delta, size):
+            return size - 1
+        size += 1
+    return cap
 
 
 def reference_trial(topology, code, symbol_map, adversary, message_index, trial_seed=0):

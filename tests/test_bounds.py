@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -13,7 +14,7 @@ from cwlattice.bounds import (
     sphere_packing_bound,
     sphere_size,
 )
-from helpers import johnson2_recursive
+from helpers import johnson1_refined_scan, johnson2_recursive
 
 
 def test_sphere_size_values():
@@ -29,6 +30,15 @@ def test_sphere_size_symmetry_exhaustive():
         for k in range(0, n + 1):
             for r in range(0, min(k, n - k) + 1):
                 assert sphere_size(n, k, r) == sphere_size(n, n - k, r)
+
+
+def test_sphere_size_matches_the_binomial_sum():
+    rows = [(n, k, range(min(k, n - k) + 1)) for n in range(1, 31) for k in range(n + 1)]
+    rows += [(14000, 6999, (0, 1, 50)), (9999, 100, (2, 100))]
+    for n, k, radii in rows:
+        for r in radii:
+            want = sum(comb(k, i) * comb(n - k, i) for i in range(r + 1))
+            assert sphere_size(n, k, r) == want, (n, k, r)
 
 
 def test_packing_and_covering():
@@ -97,6 +107,39 @@ def test_johnson1_refined_shortcut_matches_the_scan():
         cap = comb(n, k)
         assert all(johnson1_refined_feasible(n, k, delta, N) for N in range(1, cap + 1)), (n, k)
         assert johnson1_refined(n, k, delta) == cap
+
+
+def test_johnson1_refined_matches_the_linear_scan():
+    rows = [
+        (n, k, delta)
+        for n in range(1, 61)
+        for k in range(1, n + 1)
+        for delta in range(1, min(k, n - k) + 1)
+    ]
+    # large rows where Johnson bound 1 applies, and rows at its threshold,
+    # the least delta with D > 0, where the search skips the most sizes
+    rng = random.Random("johnson1_refined")
+    applicable = []
+    while len(applicable) < 300:
+        n = rng.randrange(61, 3001)
+        k = rng.randrange(1, n)
+        delta = rng.randrange(1, min(k, n - k) + 1)
+        if johnson1(n, k, delta) is not None:
+            applicable.append((n, k, delta))
+    rows += applicable
+    for _ in range(100):
+        n = rng.randrange(61, 3001)
+        k = rng.randrange(1, n)
+        rows.append((n, k, k * (n - k) // n + 1))
+    for n, k, delta in rows:
+        assert johnson1_refined(n, k, delta) == johnson1_refined_scan(n, k, delta), (n, k, delta)
+
+
+def test_johnson1_refined_large_rows():
+    # the scan tests every size up to the first failure, 49000001 here;
+    # the search skips the sizes that cannot fail
+    assert johnson1_refined(14000, 6999, 3500) == 49000000
+    assert johnson1_refined(9999, 100, 99) == 989901
 
 
 def test_johnson1_refined_never_exceeds_johnson1():

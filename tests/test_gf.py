@@ -6,8 +6,9 @@ import pytest
 from cwlattice.gf import (
     Polynomial,
     PrimeField,
-    _mod_slots,
+    _Slots,
     _pack,
+    _slot_width,
     _unpack,
     is_irreducible,
     is_prime,
@@ -190,13 +191,65 @@ def test_operators_match_schoolbook_oracle(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 2**61 - 1])
 def test_mod_slots_matches_slotwise_remainder(p):
+    # _Slots.reduce, at its least stride and rounded up to a word
     rng = random.Random(p)
+    strides = set()
     for w in (p.bit_length(), p.bit_length() + 1, p.bit_length() + 9):
-        width = 2 * w + p.bit_length()
-        slots = [0, p - 1, p, (1 << w) - 1] + [rng.randrange(1 << w) for _ in range(6)]
-        packed = _pack(slots, width)
-        want = [c % p for c in _unpack(packed, len(slots), width)]
-        assert _unpack(_mod_slots(packed, len(slots), w, p), len(slots), width) == want
+        for word in (False, True):
+            slots = [0, p - 1, p, (1 << w) - 1] + [rng.randrange(1 << w) for _ in range(6)]
+            layout = _Slots(p, w, len(slots), word)
+            stride = layout.stride
+            strides.add(stride)
+            assert stride >= 2 * w + p.bit_length()
+            packed = layout.pack(slots)
+            want = [c % p for c in slots]
+            assert _unpack(layout.reduce(packed), len(slots), stride) == want
+            # a count above the value's slots reads them as zero
+            more = _Slots(p, w, len(slots) + 3, word)
+            assert _unpack(more.reduce(packed), len(slots), more.stride) == want
+    words = {8, 16, 32, 64} & strides
+    assert words if p < 2**20 else not words
+    assert strides - {8, 16, 32, 64}
+
+
+def test_slot_strides_follow_the_rule(monkeypatch):
+    # every kernel that reduces builds its layout at stride 2w + bitlen(p),
+    # compose rounded up to a machine word where one fits
+    from cwlattice import gf, pool as pool_module
+    from cwlattice.pool import PolynomialPool
+
+    built = []
+
+    class Recording(_Slots):
+        __slots__ = ()
+
+        def __init__(self, p, w, count, word=False):
+            super().__init__(p, w, count, word)
+            built.append((p, w, count, word, self.stride))
+
+    def least(p, w):
+        return 2 * w + p.bit_length()
+
+    monkeypatch.setattr(gf, "_Slots", Recording)
+    monkeypatch.setattr(pool_module, "_Slots", Recording)
+    f3 = PrimeField(3)
+    for f in (P(f3, 2, 1, 0, 0, 1), P(PrimeField(2), 1, 1, 0, 0, 0, 1)):
+        built.clear()
+        is_irreducible(f)
+        p, n = f.field.p, f.degree
+        w = _slot_width(p, 2 * n + 1)
+        assert built == [(p, w, n, False, least(p, w))]
+    pool = PolynomialPool([P(f3, 1, 1), P(f3, 2, 1), P(f3, 1, 0, 1)])
+    w = _slot_width(3, 4 + 1)
+    assert built[-1] == (3, w, 4, False, least(3, w))
+    # w is the bit length of the product of (degree + 1) * (p - 1) over the
+    # r longest constituents, 2 * 3 = 6, 6 * 4 = 24 and 24 * 4 = 96
+    for r, w, count in ((0, 1, 1), (1, 3, 3), (2, 5, 4), (3, 7, 5)):
+        built.clear()
+        pool.compose(range(r))
+        pool.compose(range(r))  # built once per subset size
+        stride = next((s for s in (8, 16, 32, 64) if s >= least(3, w)), least(3, w))
+        assert built == [(3, w, count, True, stride)], r
 
 
 def test_unpack_word_path_matches_shift_loop():

@@ -450,6 +450,30 @@ def test_powers_cycle_detection():
     assert table.powers("a") == ["a", "b"]
 
 
+def test_powers_match_a_list_scan():
+    def list_powers(table, b):
+        seen = []
+        x = b
+        while x not in seen:
+            seen.append(x)
+            x = table.mul(x, b)
+        return seen
+
+    rng = random.Random(23)
+    for m in range(1, 6):
+        for lat in all_lattices(m):
+            table = MultiplicationTable(lat, random_multiplication_rows(lat, rng))
+            for b in lat.elements:
+                assert table.powers(b) == list_powers(table, b), (lat.to_json(), b)
+    # on a chain whose b-th power steps one element down, the powers of the
+    # top run through the whole chain
+    c = chain(40)
+    below = {b: c.elements[max(i - 1, 0)] for i, b in enumerate(c.elements)}
+    table = MultiplicationTable(c, [[below[c.meet(a, b)] for b in c.elements] for a in c.elements])
+    top = c.elements[-1]
+    assert table.powers(top) == list_powers(table, top) == list(c.elements[::-1])
+
+
 def test_json_roundtrip():
     lat = pentagon_n5()
     again = FiniteLattice.from_json(lat.to_json())
