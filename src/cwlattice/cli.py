@@ -154,14 +154,25 @@ def _load(kind: str, build, where: str, text: str | None = None):
         raise SchemaError(f"{bad}: {exc}") from None
 
 
-def _parse_indices(text: str, flag: str) -> tuple[int, ...]:
+def _flag(flag: str, convert, *args):
+    """``convert(*args)``, its ValueError naming the flag (exit 2); a
+    SchemaError, which names its cause already, passes unchanged."""
+    try:
+        return convert(*args)
+    except SchemaError:
+        raise
+    except ValueError as exc:
+        raise SchemaError(f"{flag}: {exc}") from None
+
+
+def _parse_indices(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
     try:
         return tuple(int(x) for x in text.split(","))
     except ValueError:
-        raise SchemaError(f"{flag}: expected comma-separated integers, got {text!r}") from None
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _parse_element(pool, text: str):
@@ -170,13 +181,8 @@ def _parse_element(pool, text: str):
     if pool.backend != "poly":
         raise SchemaError("--decompose needs a poly pool")
     if pool.field.p == 2:
-        read, value = Polynomial.from_hex, text
-    else:
-        read, value = Polynomial.from_coefficients, _parse_indices(text, "--decompose")
-    try:
-        return read(value, pool.field)
-    except ValueError as exc:
-        raise SchemaError(f"--decompose: {exc}") from None
+        return Polynomial.from_hex(text, pool.field)
+    return Polynomial.from_coefficients(_parse_indices(text), pool.field)
 
 
 def _emit(obj, args, text_lines) -> None:
@@ -202,16 +208,13 @@ def cmd_pool(args) -> int:
         for i, f in enumerate(pool.constituents):
             lines.append(f"  [{i}] {pool.element_to_json(f)}")
     if args.compose is not None:
-        subset = _parse_indices(args.compose, "--compose")
-        try:
-            element = pool.compose(subset)
-        except ValueError as exc:
-            raise SchemaError(f"--compose: {exc}") from None
+        subset = _flag("--compose", _parse_indices, args.compose)
+        element = _flag("--compose", pool.compose, subset)
         shown = pool.element_to_json(element)
         result["compose"] = {"subset": list(subset), "element": shown}
         lines.append(f"compose {list(subset)} -> {shown}")
     if args.decompose is not None:
-        element = _parse_element(pool, args.decompose)
+        element = _flag("--decompose", _parse_element, pool, args.decompose)
         subset = pool.decompose(element)
         shown = pool.element_to_json(element)
         result["decompose"] = {"element": shown, "subset": list(subset)}
@@ -295,11 +298,8 @@ def cmd_decode(args) -> int:
         code = data.sample_code()
     else:
         code = _load("code", ConstantWeightCode.from_json, args.code)
-    received = _parse_indices(args.received, "--received")
-    try:
-        result = decode(received, code)
-    except ValueError as exc:
-        raise SchemaError(f"--received: {exc}") from None
+    received = _flag("--received", _parse_indices, args.received)
+    result = _flag("--received", decode, received, code)
     payload = {
         "received": sorted(received),
         "distance": result.distance,
@@ -343,10 +343,7 @@ def cmd_lattice(args) -> int:
             f"sides agree: {report.agree}"
         )
     if args.element is not None:
-        try:
-            decs = lat.irreducible_decompositions(args.element)
-        except ValueError as exc:  # the element is not in the lattice
-            raise SchemaError(f"--element: {exc}") from None
+        decs = _flag("--element", lat.irreducible_decompositions, args.element)
         payload["decompositions"] = [sorted(s) for s in decs]
         lines.append(f"decompositions of {args.element}: {[sorted(s) for s in decs]}")
     if table is not None:

@@ -37,6 +37,14 @@ other member of N_y, so only the hit sets whose one member of N_y is q
 can lie inside it, and only those are compared: about n^3 row
 operations for the bottom of M_n, not n^4.
 
+``decomposition_theorem_report`` decides uniqueness without listing:
+with F the union of the N_y that have one member, x has exactly one
+decomposition iff F meets every N_y.  Every decomposition contains F,
+so if F meets every N_y it is the only one.  Otherwise a decomposition
+T meets some N_y missed by F at a q outside F; q is the sole member of
+no N_y, so the candidates other than q still hit every N_y and hold a
+decomposition without q, which is not T.
+
 An optional commutative multiplication table compatible with the order
 (xy <= x meet y) supports the prime and primary element tests.  The
 sweep that validates the table also marks, as bitsets over the
@@ -234,6 +242,17 @@ class FiniteLattice:
         members = sorted((tuple(_bits(s)) for s in family), key=lambda t: (len(t), t))
         return [frozenset(self.elements[q] for q in t) for t in members]
 
+    def _decomposes_uniquely(self, x: int) -> bool:
+        """Whether element index x has exactly one irredundant decomposition:
+        the sole members of the N_y hit every N_y (module docstring)."""
+        cands = self._irreducible & self._up[x]
+        missed = [cands & ~self._up[y] for y in _bits(self._cover_up[x])]
+        forced = 0  # the union of the one-member N_y
+        for n_y in missed:
+            if not n_y & (n_y - 1):
+                forced |= n_y
+        return all(n_y & forced for n_y in missed)
+
     def is_birkhoff(self) -> bool:
         """Upper semimodularity: if a covers a meet b, then a join b covers b.
 
@@ -286,15 +305,10 @@ class FiniteLattice:
 
     def decomposition_theorem_report(self, scan_limit: int | None = None) -> "TheoremReport":
         """Evaluate both sides of the unique-decomposition equivalence."""
-        unique = all(
-            len(self.irreducible_decompositions(x)) == 1 for x in self.elements
-        )
-        birkhoff = self.is_birkhoff()
-        m3_free = not self.has_m3_sublattice(scan_limit)
         return TheoremReport(
-            unique_decomposition=unique,
-            birkhoff=birkhoff,
-            m3_free=m3_free,
+            unique_decomposition=all(map(self._decomposes_uniquely, range(len(self.elements)))),
+            birkhoff=self.is_birkhoff(),
+            m3_free=not self.has_m3_sublattice(scan_limit),
         )
 
     # serialization ------------------------------------------------------

@@ -506,38 +506,24 @@ def run_trial(
             # first one arrives untouched, dedup would return it unchanged
             emitted[v] = packets[0] if intact else node_process(packets, k)
 
-    if not packets:
-        return TrialResult(
-            transmitted=transmitted,
-            outcome=Outcome.NODE_FAILURE,
-            errors_at_sink=0,
-            erasures_at_sink=k,
-            received=(),
-            decoded=None,
-            ties=0,
-        )
-
-    recovered = sink_recover(packets, k, symbol_map)
-    errors = len(set(recovered.indices) - set(transmitted))
-    # every one of the k positions not recovered is a padded zero or an invalid symbol
-    erasures = k - len(recovered.indices)
-
-    result = decode(recovered.indices, code)
-    decoded = result.codeword  # None on a tie
-    if decoded is None:
-        outcome = Outcome.DETECTED
-    elif decoded == transmitted:
-        outcome = Outcome.SUCCESS
+    if packets:
+        received = sink_recover(packets, k, symbol_map).indices
+        result = decode(received, code)
+        decoded, ties = result.codeword, len(result.candidates)  # codeword is None on a tie
+        if decoded is None:
+            outcome = Outcome.DETECTED
+        elif decoded == transmitted:
+            outcome = Outcome.SUCCESS
+        else:
+            outcome = Outcome.WRONG
     else:
-        outcome = Outcome.WRONG
+        received, decoded, ties, outcome = (), None, 0, Outcome.NODE_FAILURE
     return TrialResult(
-        transmitted=transmitted,
-        outcome=outcome,
-        errors_at_sink=errors,
-        erasures_at_sink=erasures,
-        received=recovered.indices,
-        decoded=decoded,
-        ties=len(result.candidates),
+        transmitted=transmitted, outcome=outcome,
+        errors_at_sink=len(set(received) - set(transmitted)),
+        # every one of the k positions not received is a padded zero or an invalid symbol
+        erasures_at_sink=k - len(received),
+        received=received, decoded=decoded, ties=ties,
     )
 
 

@@ -348,8 +348,18 @@ def test_theorem_on_all_lattices_up_to_eight_elements():
             assert report.agree, lat.to_json()
             assert report.birkhoff == semimodular_oracle(lat), lat.to_json()
             assert report.m3_free != m3_oracle(lat), lat.to_json()
+            assert_uniqueness_rule(lat)
             total += 1
     assert total == 4008  # every labelled lattice of at most 8 elements
+    for c in range(3, 41):
+        assert_uniqueness_rule(wide_diamond(c))
+
+
+def assert_uniqueness_rule(lat: FiniteLattice):
+    """The report's uniqueness rule against counting the decompositions."""
+    unique = [len(lat.irreducible_decompositions(x)) == 1 for x in lat.elements]
+    assert [lat._decomposes_uniquely(x) for x in range(len(lat))] == unique, lat.to_json()
+    assert lat.decomposition_theorem_report().unique_decomposition == all(unique)
 
 
 def test_multiplication_table_validation():

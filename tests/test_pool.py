@@ -52,6 +52,8 @@ def test_pool_validation_rejects_duplicates(f2):
     f = Polynomial(f2, (1, 1, 1))
     with pytest.raises(ValueError, match="distinct"):
         PolynomialPool([f, f])
+    with pytest.raises(ValueError, match="^pool needs at least one constituent$"):
+        PolynomialPool([])
 
 
 def test_pool_validation_rejects_nonmonic():
